@@ -24,7 +24,7 @@ them.  The control loop, per machine:
    Page–Hinkley state so post-recovery data is not judged against
    pre-shift statistics.
 
-The tier is surfaced end-to-end: protocol v8 ops ``adapt_status`` /
+The tier is surfaced end-to-end: the wire ops ``adapt_status`` /
 ``adapt_retune`` / ``adapt_promote``, the ``repro-fgcs adapt`` CLI,
 ``adapt_*`` instruments, ``adapt.retune`` / ``adapt.promote`` spans,
 and the ADAPT bench (regime shift, alarm→recovery lead time).

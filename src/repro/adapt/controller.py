@@ -285,7 +285,7 @@ class AdaptController:
             self.retune(machine, trigger="alarm")
 
     # ------------------------------------------------------------------ #
-    # the loop's verbs (also reachable via the v8 ops)
+    # the loop's verbs (also reachable via the adapt ops)
     # ------------------------------------------------------------------ #
 
     def retune(self, machine: str, *, trigger: str = "manual") -> dict[str, Any]:

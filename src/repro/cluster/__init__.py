@@ -7,10 +7,10 @@ availability-prediction service behind one socket:
   backends via consistent hashing (stable, balanced, minimal movement);
 * :mod:`repro.cluster.membership` probes backend health and applies
   mark-down/mark-up hysteresis;
-* :mod:`repro.cluster.router` speaks the existing v2 wire protocol to
-  clients and proxies per-op: owner-routed reads with transparent
-  failover, scatter-gather ``rank``/``select``, quorum-replicated
-  writes;
+* :mod:`repro.cluster.router` speaks the node's wire protocol to
+  clients and routes each op by the routing class the op table
+  declares: owner-routed reads with transparent failover, scatter ops
+  merged across nodes, quorum-replicated writes;
 * :mod:`repro.cluster.node` supervises the backend processes (each with
   its own durable store, warm-started on restart) and hosts the local
   cluster/bench/test harnesses.

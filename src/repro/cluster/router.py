@@ -4,25 +4,30 @@ The router speaks the *same* JSON-lines wire protocol as a single
 ``repro serve`` process (:mod:`repro.serve.protocol`), so every
 existing client — ``repro query``, :class:`~repro.serve.client.ServeClient`,
 a scheduler with a socket — talks to a cluster by changing nothing but
-the port.  Behind the socket each op is routed by kind:
+the port.  Behind the socket each op is routed by the routing class its
+entry in the op table (:data:`repro.serve.protocol.OPS`) declares:
 
-* **single-machine reads** (``predict``, ``horizon``) go to the
-  machine's primary owner on the hash ring; on a connection error or a
-  backpressure answer (``shed`` / ``shutting_down``) the router fails
+* **owner** ops (``predict``, ``horizon``, ``tail``, ``job_status``) go
+  to the key's primary owner on the hash ring; on a connection error or
+  a backpressure answer (``shed`` / ``shutting_down``) the router fails
   over to the next replica transparently, so a SIGKILLed backend costs
   the client nothing but latency;
-* **fan-out reads** (``rank``, ``select``) scatter to every live node
-  and merge: replicas report the same machine twice, the merge dedups,
-  and ``select`` re-runs the top-k + gang-survival math on the merged
-  TR map so its answer is identical to a single-node deployment;
-* **writes** (``register``, ``extend``) fan out to *all* R owners of
-  the machine and succeed only with a write quorum of ⌈(R+1)/2⌉ acks —
-  for the default R=2 that is both replicas, which is what lets a
-  restarted node warm-start from its own store and still hold every
-  byte it ever acknowledged;
-* **health** is answered by the router itself with the cluster view
-  (per-node up/down, ring shape) — it must work while backends are
-  down, because it is how operators see that they are down.
+* **scatter** ops go to every live node and merge by the op's entry in
+  :data:`_SCATTERS`: replicas report the same machine twice and the
+  merge dedups, ``select`` is asked as ``rank`` and re-derived from the
+  merged TR map so its answer is identical to a single-node deployment,
+  and per-node state (audit bins, adapt counters, job copies) is summed
+  or reconciled;
+* **quorum** ops (``register``, ``extend`` and the other writes) fan out
+  to *all* R owners of the key and succeed only with a write quorum of
+  ⌈(R+1)/2⌉ acks — for the default R=2 that is both replicas, which is
+  what lets a restarted node warm-start from its own store and still
+  hold every byte it ever acknowledged;
+* **submit** places the job at its owner, then replicates the record
+  to every owner under the write quorum;
+* **local** ``health`` is answered by the router itself with the
+  cluster view (per-node up/down, ring shape) — it must work while
+  backends are down, because it is how operators see that they are down.
 
 The router holds no machine data: placement is pure hashing, health is
 probed, and every byte of history lives in the backends' stores.  A
@@ -34,8 +39,9 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
-from dataclasses import dataclass
-from typing import Any, Mapping
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.adapt.controller import merge_adapt_status
 from repro.audit.scoreboard import merge_quality
@@ -47,44 +53,143 @@ from repro.obs.instruments import instrument
 from repro.obs.tracing import TraceContext, current_context, start_span, use_context
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
+    OPS,
     PROTOCOL_VERSION,
     STATUS_ERROR,
     ProtocolError,
     Request,
     Response,
-    min_version,
 )
 
 __all__ = ["RouterConfig", "ClusterRouter"]
 
-#: Ops answered by proxying to the single owning replica set.
-_SINGLE_MACHINE_OPS = frozenset({"predict", "horizon", "tail"})
-#: Ops answered by scatter-gather across every shard.
-_SCATTER_OPS = frozenset({"rank", "select"})
-#: Fleet batch ops (protocol v7): each shard answers for the machines it
-#: owns (``missing_ok``) and the router merges the per-machine entries.
-_FLEET_OPS = frozenset({"predict_batch", "fleet_scan"})
-#: Ops merged from per-node audit state (never deduplicated: each node
-#: journaled only the predictions it served).
-_QUALITY_OPS = frozenset({"quality"})
-#: Ops fanned out to all R owners under a write quorum.
-_WRITE_OPS = frozenset({"register", "extend"})
-#: Scheduling ops owned by the *job* key's replica set (protocol v5).
-#: ``job_status`` proxies with failover; ``cancel`` and ``job_put`` are
-#: quorum writes so every owner's JobManager converges.
-_JOB_SINGLE_OPS = frozenset({"job_status"})
-_JOB_WRITE_OPS = frozenset({"cancel", "job_put"})
-#: ``jobs`` scatters to every live node and dedups by job id.
-_JOB_SCATTER_OPS = frozenset({"jobs"})
-#: ``replace`` broadcasts to every live node (each JobManager re-places
-#: its own affected jobs); also triggered internally on node death.
-_JOB_BROADCAST_OPS = frozenset({"replace"})
-#: Adapt-tier state is per-node like audit state: scatter and merge.
-_ADAPT_STATUS_OPS = frozenset({"adapt_status"})
-#: Retune/promote change the machine's serving model, which lives on
-#: every owner of the machine — quorum writes, but they never touch the
-#: machine catalog (they create no history).
-_ADAPT_WRITE_OPS = frozenset({"adapt_retune", "adapt_promote"})
+#: Quorum ops that write machine history: an acknowledged one puts the
+#: machine in the placement pool the node-death hook reasons about.
+#: (Retune/promote change a machine's model but create no history.)
+_HISTORY_WRITES = frozenset({"register", "extend"})
+
+
+# ---------------------------------------------------------------------- #
+# scatter merges: ``(client params, ok results in node order) -> result``
+# ---------------------------------------------------------------------- #
+
+
+def _first_per_machine(results: list[Any], key: str) -> dict[str, Mapping[str, Any]]:
+    """Entries under ``key`` by machine.  Replicas answer from
+    byte-identical histories, so the first answer wins."""
+    merged: dict[str, Mapping[str, Any]] = {}
+    for result in results:
+        for entry in result.get(key, ()):
+            merged.setdefault(str(entry["machine"]), entry)
+    return merged
+
+
+def _merge_rank(params: Mapping[str, Any], results: list[Any]) -> dict[str, Any]:
+    trs = {m: e["tr"] for m, e in _first_per_machine(results, "ranking").items()}
+    order = sorted(trs.items(), key=lambda kv: (-kv[1], kv[0]))
+    return {"ranking": [{"machine": m, "tr": tr} for m, tr in order]}
+
+
+def _merge_select(params: Mapping[str, Any], results: list[Any]) -> dict[str, Any]:
+    trs = {m: e["tr"] for m, e in _first_per_machine(results, "ranking").items()}
+    k = int(params.get("k", 1))
+    chosen = select_best_k(trs, k)
+    return {
+        "machines": chosen,
+        "survival": group_survival([trs[m] for m in chosen]),
+        "k": k,
+    }
+
+
+def _merge_fleet(key: str, order: Callable[[Mapping[str, Any]], Any]) -> Callable:
+    """Merge for a fleet batch op whose per-machine entries sit under ``key``."""
+
+    def merge(params: Mapping[str, Any], results: list[Any]) -> dict[str, Any]:
+        merged = _first_per_machine(results, key)
+        requested = params.get("machines")
+        if requested is not None:
+            missing = sorted({str(m) for m in requested} - merged.keys())
+            if missing:
+                raise ProtocolError(f"machines not registered: {', '.join(missing)}")
+        entries = sorted(merged.values(), key=order)
+        out: dict[str, Any] = {key: entries, "count": len(entries)}
+        if "horizons_hours" in results[0]:
+            out["horizons_hours"] = results[0]["horizons_hours"]
+        return out
+
+    return merge
+
+
+def _merge_jobs(params: Mapping[str, Any], results: list[Any]) -> dict[str, Any]:
+    """Dedup job records by id.  Replicas of a job may lag one transition
+    apart (a refresh saw a completion on one owner first), so the copy
+    with the highest ``(version, lifecycle stage)`` wins."""
+    from repro.sched.jobs import STATE_RANK
+
+    def newness(record: Mapping[str, Any]) -> tuple[int, int]:
+        return record["version"], STATE_RANK.get(record["state"], 0)
+
+    merged: dict[str, Mapping[str, Any]] = {}
+    for result in results:
+        for record in result.get("jobs", ()):
+            current = merged.get(str(record["job"]))
+            if current is None or newness(record) > newness(current):
+                merged[str(record["job"])] = record
+    records = [merged[j] for j in sorted(merged)]
+    states = Counter(record["state"] for record in records)
+    return {"jobs": records, "stats": {"jobs": len(records), "states": dict(states)}}
+
+
+def _merge_replace(params: Mapping[str, Any], results: list[Any]) -> dict[str, Any]:
+    actions: Counter[str] = Counter()
+    for result in results:
+        for action, count in (result.get("actions") or {}).items():
+            actions[action] += int(count)
+    return {
+        "replaced": sum(int(result.get("replaced", 0)) for result in results),
+        "actions": dict(actions),
+        "restored": sorted({m for result in results for m in result.get("restored") or ()}),
+        "nodes": len(results),
+    }
+
+
+class _Scatter(NamedTuple):
+    """How one scatter op is forwarded to every node and merged."""
+
+    #: Combines the ok answers; a ``ValueError`` it raises is the answer.
+    merge: Callable[[Mapping[str, Any], list[Any]], dict[str, Any]]
+    #: The op the nodes are asked, when it is not the op itself.
+    ask: str | None = None
+    #: Nodes answer for the machines they hold and skip the rest.
+    missing_ok: bool = False
+    #: Report node coverage as ``shards`` in the merged result.
+    shards: bool = True
+
+
+#: One entry per ``scatter`` op of the op table.
+_SCATTERS: dict[str, _Scatter] = {
+    "rank": _Scatter(_merge_rank),
+    # Top-k runs over the *global* TR map: nodes answer rank and the
+    # router re-derives select from the merged map.
+    "select": _Scatter(_merge_select, ask="rank"),
+    # Each node runs one batched solve over the machines it owns.
+    "predict_batch": _Scatter(
+        _merge_fleet("predictions", lambda e: str(e["machine"])), missing_ok=True
+    ),
+    "fleet_scan": _Scatter(
+        _merge_fleet("machines", lambda e: (-float(e["tr"]), str(e["machine"]))),
+        missing_ok=True,
+    ),
+    # Audit state is per node, never replicated: each owner journaled
+    # only the predictions it served, so per-bin statistics are summed
+    # and the pooled metrics re-derived.
+    "quality": _Scatter(lambda params, results: merge_quality(results)),
+    # Adapt state is per node too: counters add, machine entries union.
+    "adapt_status": _Scatter(lambda params, results: merge_adapt_status(results)),
+    "jobs": _Scatter(_merge_jobs),
+    # Each JobManager re-places its own affected jobs; counts add up.
+    "replace": _Scatter(_merge_replace, shards=False),
+}
 
 
 @dataclass(frozen=True)
@@ -139,14 +244,13 @@ class _BackendPool:
         reader, writer = conn
         # The ambient trace context (the router span this call runs
         # under) rides the forwarded request, so backend-side spans join
-        # the same trace.  Backends too old for v4 ignore the field.
+        # the same trace.
         ctx = current_context()
         forwarded = Request(
             op=request.op,
             params=request.params,
             id=f"r{next(self._ids)}",
             deadline_ms=request.deadline_ms,
-            version=min_version(request.op),
             trace=None if ctx is None else ctx.to_wire(),
         )
         try:
@@ -211,6 +315,12 @@ async def _close_quietly(writer: asyncio.StreamWriter) -> None:
         pass
 
 
+def _relay(resp: Response, request: Request) -> Response:
+    """A backend's (or an inner route's) answer, re-addressed to the
+    client's request; the router stamps its own elapsed time."""
+    return replace(resp, id=request.id, elapsed_ms=None)
+
+
 class ClusterRouter:
     """Protocol-compatible frontend over N sharded, replicated backends."""
 
@@ -238,6 +348,10 @@ class ClusterRouter:
             up_after=self.config.up_after,
         )
         self._pool = _BackendPool(self.membership, self.config)
+        # Each op's route, by the routing class the op table declares.
+        self._routes = {
+            op: getattr(self, f"_route_{spec.route}") for op, spec in OPS.items()
+        }
         self._server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
         self._started = time.monotonic()
@@ -335,35 +449,31 @@ class ClusterRouter:
         self, line: bytes, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
     ) -> None:
         t0 = time.perf_counter()
-        op = "invalid"
+        request_id, op = "", "invalid"
         try:
             request = Request.decode(line)
-            op = request.op
+            request_id, op = request.id, request.op
+            route = self._routes[op]
             if request.trace is not None:
                 # Adopt the client's context for this task: every span
                 # below (and every forwarded backend call) joins its trace.
                 ctx = TraceContext.from_wire(request.trace)
                 with use_context(ctx), start_span("router.route", "router", op=op):
-                    response = await self._route(request)
+                    response = await route(request)
             else:
-                response = await self._route(request)
+                response = await route(request)
         except ProtocolError as exc:
-            response = Response.failure("", STATUS_ERROR, "ProtocolError", str(exc))
+            response = Response.failure(
+                request_id or exc.request_id, STATUS_ERROR, "ProtocolError", str(exc)
+            )
         except Exception as exc:  # routing bug: answer, don't drop the line
             response = Response.failure(
-                "", STATUS_ERROR, type(exc).__name__, str(exc)
+                request_id, STATUS_ERROR, type(exc).__name__, str(exc)
             )
         outcome = "ok" if response.ok else response.status
         instrument("cluster_requests_routed_total").labels(op=op, outcome=outcome).inc()
         if response.elapsed_ms is None:
-            response = Response(
-                id=response.id,
-                status=response.status,
-                result=response.result,
-                error=response.error,
-                coalesced=response.coalesced,
-                elapsed_ms=(time.perf_counter() - t0) * 1e3,
-            )
+            response = replace(response, elapsed_ms=(time.perf_counter() - t0) * 1e3)
         async with write_lock:
             if writer.is_closing():
                 return
@@ -374,40 +484,8 @@ class ClusterRouter:
                 pass
 
     # ------------------------------------------------------------------ #
-    # routing
+    # routing (one coroutine per routing class of the op table)
     # ------------------------------------------------------------------ #
-
-    async def _route(self, request: Request) -> Response:
-        if request.op == "health":
-            return Response.success(request.id, self._cluster_health())
-        if request.op in _SINGLE_MACHINE_OPS:
-            return await self._route_single(request)
-        if request.op in _SCATTER_OPS:
-            return await self._route_scatter(request)
-        if request.op in _FLEET_OPS:
-            return await self._route_fleet(request)
-        if request.op in _QUALITY_OPS:
-            return await self._route_quality(request)
-        if request.op in _WRITE_OPS:
-            return await self._route_write(request)
-        if request.op == "submit":
-            return await self._route_submit(request)
-        if request.op in _JOB_SINGLE_OPS:
-            return await self._route_single(request)
-        if request.op in _JOB_WRITE_OPS:
-            return await self._route_write(request)
-        if request.op in _JOB_SCATTER_OPS:
-            return await self._route_jobs(request)
-        if request.op in _JOB_BROADCAST_OPS:
-            return await self._route_broadcast(request)
-        if request.op in _ADAPT_STATUS_OPS:
-            return await self._route_adapt_status(request)
-        if request.op in _ADAPT_WRITE_OPS:
-            return await self._route_write(request)
-        return Response.failure(
-            request.id, STATUS_ERROR, "ProtocolError",
-            f"op {request.op!r} is not routable"
-        )
 
     async def _call_timed(self, node_id: str, request: Request) -> Response:
         t0 = time.perf_counter()
@@ -422,32 +500,72 @@ class ClusterRouter:
             )
         return resp
 
-    async def _call_traced(self, node_id: str, request: Request, **attrs: Any) -> Response:
+    async def _call_traced(self, node_id: str, request: Request) -> Response:
         """One backend call under a ``router.call`` span (fan-out paths)."""
-        with start_span("router.call", "router", node=node_id, **attrs):
+        with start_span("router.call", "router", node=node_id):
             return await self._call_timed(node_id, request)
+
+    async def _fan_out(
+        self, nodes: list[str], request: Request
+    ) -> tuple[list[Response], list[Response]]:
+        """Call ``nodes`` concurrently: ``(ok answers, refusals)`` in node
+        order; unreachable nodes are left out of both."""
+        answers = await asyncio.gather(
+            *(self._call_traced(n, request) for n in nodes),
+            return_exceptions=True,
+        )
+        oks: list[Response] = []
+        refusals: list[Response] = []
+        for resp in answers:
+            if isinstance(resp, BaseException):
+                if not isinstance(resp, (OSError, asyncio.TimeoutError)):
+                    raise resp
+                continue
+            (oks if resp.ok else refusals).append(resp)
+        return oks, refusals
 
     def _owner_key(self, request: Request) -> str:
         # Job ops shard by the job id (prefixed so job and machine key
         # spaces never collide on the ring); everything else by machine.
-        if request.op == "job_put":
-            record = request.params.get("record")
-            if not isinstance(record, Mapping) or "job" not in record:
-                raise ProtocolError("job_put needs params['record']['job']")
-            return f"job:{record['job']}"
-        if request.op in ("submit", "job_status", "cancel"):
-            job = request.params.get("job")
-            if job is None:
-                raise ProtocolError(f"missing required param 'job' for {request.op!r}")
-            return f"job:{job}"
-        machine = request.params.get("machine")
-        if machine is None:
-            raise ProtocolError(f"missing required param 'machine' for {request.op!r}")
-        return str(machine)
+        key = OPS[request.op].key
+        params = request.params
+        if request.op == "job_put":  # the replicated record names its job
+            record = params.get("record")
+            params = record if isinstance(record, Mapping) else {}
+        value = params.get(key)
+        if value is None:
+            raise ProtocolError(f"missing required param {key!r}")
+        return f"job:{value}" if key == "job" else str(value)
 
-    async def _route_single(self, request: Request) -> Response:
+    async def _route_local(self, request: Request) -> Response:
+        """``health``: the router's own cluster view."""
+        nodes = self.membership.status()
+        up = sum(1 for st in nodes.values() if st["state"] == "up")
+        if up == len(nodes):
+            status = "ok"
+        elif up > 0:
+            status = "degraded"
+        else:
+            status = "down"
+        return Response.success(request.id, {
+            "status": status,
+            "role": "router",
+            "protocol_version": PROTOCOL_VERSION,
+            "nodes": nodes,
+            "up_nodes": up,
+            "ring": {
+                "nodes": len(self.ring),
+                "replicas": self.config.replicas,
+                "vnodes": self.config.vnodes,
+                "write_quorum": self.config.write_quorum,
+            },
+            "uptime_seconds": time.monotonic() - self._started,
+        })
+
+    async def _route_owner(self, request: Request) -> Response:
         """Proxy to the owning replica set, failing over in ring order."""
-        owners = self.membership.prefer_up(self.ring.owners(self._owner_key(request)))
+        key = self._owner_key(request)
+        owners = self.membership.prefer_up(self.ring.owners(key))
         backpressure: Response | None = None
         for attempt, node_id in enumerate(owners):
             # attempt > 0 IS the failover hop: the span records which
@@ -472,255 +590,53 @@ class ClusterRouter:
                     instrument("cluster_failovers_total").inc()
                 continue
             # ok — or a semantic error the next replica would repeat.
-            return Response(
-                id=request.id,
-                status=resp.status,
-                result=resp.result,
-                error=resp.error,
-                coalesced=resp.coalesced,
-            )
+            return _relay(resp, request)
         if backpressure is not None:
-            return Response(
-                id=request.id,
-                status=backpressure.status,
-                error=backpressure.error,
-            )
+            return _relay(backpressure, request)
         return Response.failure(
             request.id, STATUS_ERROR, "NoReplicaAvailable",
-            f"all {len(owners)} replicas of "
-            f"{self._owner_key(request)!r} are unreachable",
+            f"all {len(owners)} replicas of {key!r} are unreachable",
         )
 
     async def _route_scatter(self, request: Request) -> Response:
-        """Scatter ``rank``/``select`` to every live shard and merge."""
+        """Ask every live node and merge the answers by the op's entry."""
+        scatter = _SCATTERS[request.op]
         targets = self.membership.up_nodes() or self.membership.node_ids
-        # The backend math for select is top-k over the *global* TR map,
-        # so both ops scatter as `rank` and the router re-derives select.
-        scatter = Request(
-            op="rank",
-            params={
-                k: v for k, v in request.params.items() if k != "k"
-            },
+        forwarded = Request(
+            op=scatter.ask or request.op,
+            params=(
+                dict(request.params, missing_ok=True)
+                if scatter.missing_ok else request.params
+            ),
             deadline_ms=request.deadline_ms,
         )
         with start_span("router.scatter", "router", op=request.op, targets=len(targets)):
-            results = await asyncio.gather(
-                *(self._call_traced(n, scatter) for n in targets),
-                return_exceptions=True,
-            )
-        trs: dict[str, float] = {}
-        errors: list[Response] = []
-        nodes_ok = 0
-        for resp in results:
-            if isinstance(resp, BaseException):
-                if not isinstance(resp, (OSError, asyncio.TimeoutError)):
-                    raise resp
-                continue
-            if not resp.ok:
-                errors.append(resp)
-                continue
-            nodes_ok += 1
-            for entry in resp.result["ranking"]:
-                # Replicas answer from byte-identical histories; first
-                # answer wins, duplicates are dropped.
-                trs.setdefault(entry["machine"], entry["tr"])
-        if nodes_ok == 0:
-            if errors:
-                first = errors[0]
-                return Response(
-                    id=request.id, status=first.status, error=first.error
-                )
+            oks, refusals = await self._fan_out(targets, forwarded)
+        if not oks:
+            if refusals:
+                return _relay(refusals[0], request)
             return Response.failure(
                 request.id, STATUS_ERROR, "NoReplicaAvailable",
-                "no shard answered the scatter",
+                f"no node answered the {request.op} scatter",
             )
-        shards = {"queried": len(targets), "ok": nodes_ok,
-                  "partial": nodes_ok < len(targets)}
-        if request.op == "rank":
-            order = sorted(trs.items(), key=lambda kv: (-kv[1], kv[0]))
-            result: dict[str, Any] = {
-                "ranking": [{"machine": m, "tr": tr} for m, tr in order],
-                "shards": shards,
-            }
-            return Response.success(request.id, result)
-        k = int(request.params.get("k", 1))
         try:
-            chosen = select_best_k(trs, k)
-        except ValueError as exc:
+            result = scatter.merge(request.params, [resp.result for resp in oks])
+        except ValueError as exc:  # ProtocolError included
             return Response.failure(
-                request.id, STATUS_ERROR, "ValueError", str(exc)
+                request.id, STATUS_ERROR, type(exc).__name__, str(exc)
             )
-        return Response.success(
-            request.id,
-            {
-                "machines": chosen,
-                "survival": group_survival([trs[m] for m in chosen]),
-                "k": k,
-                "shards": shards,
-            },
-        )
-
-    async def _route_fleet(self, request: Request) -> Response:
-        """Scatter a fleet batch op to every live shard and merge.
-
-        Each shard runs *one* batched kernel solve over the machines it
-        owns (``missing_ok`` makes it skip ids on other shards), so a
-        cluster-wide ``fleet_scan`` costs one matrix pass per shard
-        instead of N scalar predicts.  Replicas answer from
-        byte-identical histories, so the first answer per machine wins.
-        """
-        targets = self.membership.up_nodes() or self.membership.node_ids
-        scatter = Request(
-            op=request.op,
-            params=dict(request.params, missing_ok=True),
-            deadline_ms=request.deadline_ms,
-        )
-        with start_span("router.scatter", "router", op=request.op, targets=len(targets)):
-            results = await asyncio.gather(
-                *(self._call_traced(n, scatter) for n in targets),
-                return_exceptions=True,
-            )
-        key = "predictions" if request.op == "predict_batch" else "machines"
-        merged: dict[str, Mapping[str, Any]] = {}
-        errors: list[Response] = []
-        nodes_ok = 0
-        for resp in results:
-            if isinstance(resp, BaseException):
-                if not isinstance(resp, (OSError, asyncio.TimeoutError)):
-                    raise resp
-                continue
-            if not resp.ok:
-                errors.append(resp)
-                continue
-            nodes_ok += 1
-            for entry in resp.result.get(key, ()):
-                merged.setdefault(str(entry["machine"]), entry)
-        if nodes_ok == 0:
-            if errors:
-                first = errors[0]
-                return Response(id=request.id, status=first.status, error=first.error)
-            return Response.failure(
-                request.id, STATUS_ERROR, "NoReplicaAvailable",
-                f"no shard answered the {request.op} scatter",
-            )
-        requested = request.params.get("machines")
-        if requested is not None:
-            missing = sorted(
-                {str(m) for m in requested} - merged.keys()
-            )
-            if missing:
-                return Response.failure(
-                    request.id, STATUS_ERROR, "ProtocolError",
-                    f"machines not registered: {', '.join(missing)}",
-                )
-        shards = {"queried": len(targets), "ok": nodes_ok,
-                  "partial": nodes_ok < len(targets)}
-        if request.op == "predict_batch":
-            entries = [merged[m] for m in sorted(merged)]
-        else:
-            entries = sorted(
-                merged.values(), key=lambda e: (-float(e["tr"]), str(e["machine"]))
-            )
-        result: dict[str, Any] = {
-            key: entries,
-            "count": len(entries),
-            "shards": shards,
-        }
-        for resp in results:
-            if isinstance(resp, Response) and resp.ok:
-                if "horizons_hours" in (resp.result or {}):
-                    result["horizons_hours"] = resp.result["horizons_hours"]
-                break
+        if scatter.shards:
+            result["shards"] = {
+                "queried": len(targets),
+                "ok": len(oks),
+                "partial": len(oks) < len(targets),
+            }
         return Response.success(request.id, result)
 
-    async def _route_quality(self, request: Request) -> Response:
-        """Scatter ``quality`` to every live node and merge the bins.
-
-        Audit state is per-node, not replicated: a machine's R owners
-        each journaled the subset of predictions *they* served, so the
-        per-bin sufficient statistics are summed across nodes — for the
-        aggregate and per machine — and the pooled metrics re-derived.
-        """
-        targets = self.membership.up_nodes() or self.membership.node_ids
-        with start_span("router.scatter", "router", op=request.op, targets=len(targets)):
-            results = await asyncio.gather(
-                *(self._call_traced(n, request) for n in targets),
-                return_exceptions=True,
-            )
-        answers: list[Mapping[str, Any]] = []
-        errors: list[Response] = []
-        nodes_ok = 0
-        for resp in results:
-            if isinstance(resp, BaseException):
-                if not isinstance(resp, (OSError, asyncio.TimeoutError)):
-                    raise resp
-                continue
-            if not resp.ok:
-                errors.append(resp)
-                continue
-            nodes_ok += 1
-            answers.append(resp.result)
-        if nodes_ok == 0:
-            if errors:
-                first = errors[0]
-                return Response(id=request.id, status=first.status, error=first.error)
-            return Response.failure(
-                request.id, STATUS_ERROR, "NoReplicaAvailable",
-                "no shard answered the quality scatter",
-            )
-        merged = merge_quality(answers)
-        merged["shards"] = {
-            "queried": len(targets),
-            "ok": nodes_ok,
-            "partial": nodes_ok < len(targets),
-        }
-        return Response.success(request.id, merged)
-
-    async def _route_adapt_status(self, request: Request) -> Response:
-        """Scatter ``adapt_status`` to every live node and merge.
-
-        Adapt state is per-node (each owner runs its own trials for the
-        machines it serves); counters sum and machine entries union,
-        keeping the entry that saw the most retunes.
-        """
-        targets = self.membership.up_nodes() or self.membership.node_ids
-        with start_span("router.scatter", "router", op=request.op, targets=len(targets)):
-            results = await asyncio.gather(
-                *(self._call_traced(n, request) for n in targets),
-                return_exceptions=True,
-            )
-        answers: list[dict[str, Any]] = []
-        errors: list[Response] = []
-        nodes_ok = 0
-        for resp in results:
-            if isinstance(resp, BaseException):
-                if not isinstance(resp, (OSError, asyncio.TimeoutError)):
-                    raise resp
-                continue
-            if not resp.ok:
-                errors.append(resp)
-                continue
-            nodes_ok += 1
-            answers.append(resp.result)
-        if nodes_ok == 0:
-            if errors:
-                first = errors[0]
-                return Response(id=request.id, status=first.status, error=first.error)
-            return Response.failure(
-                request.id, STATUS_ERROR, "NoReplicaAvailable",
-                "no shard answered the adapt_status scatter",
-            )
-        merged = merge_adapt_status(answers)
-        merged["shards"] = {
-            "queried": len(targets),
-            "ok": nodes_ok,
-            "partial": nodes_ok < len(targets),
-        }
-        return Response.success(request.id, merged)
-
-    async def _route_write(self, request: Request) -> Response:
+    async def _route_quorum(self, request: Request) -> Response:
         """Fan a write out to all R owners; ack only on a write quorum."""
-        owners = self.ring.owners(self._owner_key(request))
+        key = self._owner_key(request)
+        owners = self.ring.owners(key)
         quorum = min(self.config.write_quorum, len(owners))
         # The quorum wait is the write's latency floor: the gather
         # resolves only when every owner answered or failed, and the
@@ -729,29 +645,15 @@ class ClusterRouter:
             "router.quorum_wait", "router",
             op=request.op, replicas=len(owners), required=quorum,
         ) as sp:
-            results = await asyncio.gather(
-                *(self._call_traced(n, request) for n in owners),
-                return_exceptions=True,
-            )
+            acks, refusals = await self._fan_out(owners, request)
             if sp is not None:
-                sp.set(acks=sum(1 for r in results
-                                if isinstance(r, Response) and r.ok))
-        acks: list[Response] = []
-        refusals: list[Response] = []
-        for resp in results:
-            if isinstance(resp, BaseException):
-                if not isinstance(resp, (OSError, asyncio.TimeoutError)):
-                    raise resp
-                continue
-            (acks if resp.ok else refusals).append(resp)
+                sp.set(acks=len(acks))
         if len(acks) < quorum:
             # A semantic refusal (bad grid, gap) is the same on every
             # replica — surface it rather than a generic quorum error.
             for refusal in refusals:
                 if not refusal.backpressure:
-                    return Response(
-                        id=request.id, status=refusal.status, error=refusal.error
-                    )
+                    return _relay(refusal, request)
             return Response.failure(
                 request.id, STATUS_ERROR, "QuorumNotMet",
                 f"write acknowledged by {len(acks)}/{len(owners)} replicas, "
@@ -767,15 +669,9 @@ class ClusterRouter:
             "required": quorum,
             "degraded": degraded,
         }
-        if request.op in _WRITE_OPS:
-            # An acknowledged history write makes this machine part of
-            # the placement pool the node-death hook reasons about.
-            self._machine_catalog.add(self._owner_key(request))
+        if request.op in _HISTORY_WRITES:
+            self._machine_catalog.add(key)
         return Response.success(request.id, result)
-
-    # ------------------------------------------------------------------ #
-    # scheduling ops (protocol v5)
-    # ------------------------------------------------------------------ #
 
     async def _route_submit(self, request: Request) -> Response:
         """Two-phase submit: place at the primary owner, then replicate.
@@ -787,7 +683,7 @@ class ClusterRouter:
         R owner set as ``job_put`` under the write quorum.  The placer's
         own adopt is a version-equal no-op, so the fan-out is idempotent.
         """
-        placed = await self._route_single(request)
+        placed = await self._route_owner(request)
         if not placed.ok or not isinstance(placed.result, Mapping):
             return placed
         record = placed.result.get("record")
@@ -798,120 +694,12 @@ class ClusterRouter:
             params={"record": record},
             deadline_ms=request.deadline_ms,
         )
-        replicated = await self._route_write(put)
+        replicated = await self._route_quorum(put)
         if not replicated.ok:
-            return Response(
-                id=request.id,
-                status=replicated.status,
-                error=replicated.error,
-            )
+            return _relay(replicated, request)
         result = dict(placed.result)
         result["quorum"] = replicated.result.get("quorum")
         return Response.success(request.id, result)
-
-    async def _route_jobs(self, request: Request) -> Response:
-        """Scatter ``jobs`` to every live node; dedup records by job id.
-
-        Replicas of a job may lag one transition apart (e.g. a refresh
-        discovered a completion on one owner first); the merge keeps the
-        copy with the highest ``(version, lifecycle stage)``.
-        """
-        from repro.sched.jobs import STATE_RANK
-
-        targets = self.membership.up_nodes() or self.membership.node_ids
-        with start_span("router.scatter", "router", op=request.op, targets=len(targets)):
-            results = await asyncio.gather(
-                *(self._call_traced(n, request) for n in targets),
-                return_exceptions=True,
-            )
-        merged: dict[str, Mapping[str, Any]] = {}
-        errors: list[Response] = []
-        nodes_ok = 0
-        for resp in results:
-            if isinstance(resp, BaseException):
-                if not isinstance(resp, (OSError, asyncio.TimeoutError)):
-                    raise resp
-                continue
-            if not resp.ok:
-                errors.append(resp)
-                continue
-            nodes_ok += 1
-            for record in resp.result.get("jobs", ()):
-                job_id = str(record["job"])
-                current = merged.get(job_id)
-                if current is None or (
-                    (record["version"], STATE_RANK.get(record["state"], 0))
-                    > (current["version"], STATE_RANK.get(current["state"], 0))
-                ):
-                    merged[job_id] = record
-        if nodes_ok == 0:
-            if errors:
-                first = errors[0]
-                return Response(id=request.id, status=first.status, error=first.error)
-            return Response.failure(
-                request.id, STATUS_ERROR, "NoReplicaAvailable",
-                "no node answered the jobs scatter",
-            )
-        records = [merged[j] for j in sorted(merged)]
-        states: dict[str, int] = {}
-        for record in records:
-            states[record["state"]] = states.get(record["state"], 0) + 1
-        return Response.success(
-            request.id,
-            {
-                "jobs": records,
-                "stats": {"jobs": len(records), "states": states},
-                "shards": {
-                    "queried": len(targets),
-                    "ok": nodes_ok,
-                    "partial": nodes_ok < len(targets),
-                },
-            },
-        )
-
-    async def _route_broadcast(self, request: Request) -> Response:
-        """Broadcast ``replace`` to every live node and sum the counts."""
-        targets = self.membership.up_nodes() or self.membership.node_ids
-        with start_span("router.scatter", "router", op=request.op, targets=len(targets)):
-            results = await asyncio.gather(
-                *(self._call_traced(n, request) for n in targets),
-                return_exceptions=True,
-            )
-        replaced = 0
-        actions: dict[str, int] = {}
-        restored: set[str] = set()
-        nodes_ok = 0
-        errors: list[Response] = []
-        for resp in results:
-            if isinstance(resp, BaseException):
-                if not isinstance(resp, (OSError, asyncio.TimeoutError)):
-                    raise resp
-                continue
-            if not resp.ok:
-                errors.append(resp)
-                continue
-            nodes_ok += 1
-            replaced += int(resp.result.get("replaced", 0))
-            for action, count in (resp.result.get("actions") or {}).items():
-                actions[action] = actions.get(action, 0) + int(count)
-            restored.update(resp.result.get("restored") or ())
-        if nodes_ok == 0:
-            if errors:
-                first = errors[0]
-                return Response(id=request.id, status=first.status, error=first.error)
-            return Response.failure(
-                request.id, STATUS_ERROR, "NoReplicaAvailable",
-                "no node answered the replace broadcast",
-            )
-        return Response.success(
-            request.id,
-            {
-                "replaced": replaced,
-                "actions": actions,
-                "restored": sorted(restored),
-                "nodes": nodes_ok,
-            },
-        )
 
     # ------------------------------------------------------------------ #
     # node-death reaction (membership transition hooks)
@@ -945,7 +733,7 @@ class ClusterRouter:
     async def _replace_after_transition(self, request: Request, reason: str) -> None:
         with start_span("sched.replace", "router", reason=reason):
             try:
-                response = await self._route_broadcast(request)
+                response = await self._route_scatter(request)
             except Exception as exc:
                 get_event_log().emit(
                     "cluster_replace_error",
@@ -962,29 +750,3 @@ class ClusterRouter:
             replaced=(response.result or {}).get("replaced"),
             ok=response.ok,
         )
-
-    # ------------------------------------------------------------------ #
-
-    def _cluster_health(self) -> dict[str, Any]:
-        nodes = self.membership.status()
-        up = sum(1 for st in nodes.values() if st["state"] == "up")
-        if up == len(nodes):
-            status = "ok"
-        elif up > 0:
-            status = "degraded"
-        else:
-            status = "down"
-        return {
-            "status": status,
-            "role": "router",
-            "protocol_version": PROTOCOL_VERSION,
-            "nodes": nodes,
-            "up_nodes": up,
-            "ring": {
-                "nodes": len(self.ring),
-                "replicas": self.config.replicas,
-                "vnodes": self.config.vnodes,
-                "write_quorum": self.config.write_quorum,
-            },
-            "uptime_seconds": time.monotonic() - self._started,
-        }

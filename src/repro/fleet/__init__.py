@@ -12,7 +12,7 @@ pool with one matrix pass instead of N scalar Eq.-3 recursions:
   incrementally refreshes the stacked tensor from a service's trace
   registry, caching both per-machine kernels and whole solved scans.
 
-The serving tier exposes this as the protocol v7 ``predict_batch`` and
+The serving tier exposes this as the ``predict_batch`` and
 ``fleet_scan`` ops; ``rank``/``select`` and the scheduler's candidate
 scoring ride the same path.
 """

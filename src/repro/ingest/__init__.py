@@ -1,6 +1,6 @@
 """Real-telemetry ingestion tier: live monitor agent + trace adapters.
 
-Two front doors feed the serving stack's v2 ``extend`` pipeline with
+Two front doors feed the serving stack's ``extend`` pipeline with
 *measured* availability signals instead of synthetic ones:
 
 * :mod:`repro.ingest.agent` — a live host monitor that samples the

@@ -4,7 +4,7 @@ One *trace* is the journey of one request through the whole service
 stack — client → router → backend node → dispatcher → predictor /
 store / audit — stitched together across process boundaries by a
 :class:`TraceContext` carried in the wire protocol's optional ``trace``
-envelope field (protocol v4; older peers simply ignore the field).
+envelope field (untraced requests omit it).
 
 The design splits cleanly into three parts:
 

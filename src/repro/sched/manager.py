@@ -278,7 +278,7 @@ class JobManager:
         kernel pass (``AvailabilityService.predict_batch``); services
         without it (bench fakes, old deployments) and any batch failure
         fall back to per-machine scalar predicts, so placement never
-        degrades below the v5 behaviour.
+        degrades below the scalar behaviour.
         """
         if machines and self.config.batch_predict:
             batch = getattr(self.service, "predict_batch", None)

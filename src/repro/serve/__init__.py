@@ -9,7 +9,7 @@ deadlines and graceful drain.
 
 Layering::
 
-    protocol.py   wire format: Request/Response dataclasses, op set v1
+    protocol.py   wire format: Request/Response dataclasses, the op table
     dispatch.py   Dispatcher: coalescing + worker pool + backpressure
     server.py     ServeServer: asyncio TCP front-end
     client.py     ServeClient (blocking) / AsyncServeClient (asyncio)

@@ -27,9 +27,11 @@ for this op set: reads are side-effect-free and ``register``/``extend``
 are idempotent (replace / overlap-trim semantics).  Real errors and
 deadline expirations are never retried.
 
-Requests are sent at the lowest protocol version that includes their op
-(see :func:`repro.serve.protocol.min_version`), so a new client keeps
-working against an older server for the ops that server speaks.
+Every convenience op is defined once, on :class:`_ConvenienceOps`: it
+builds the op's params and hands them to a ``_call`` hook, which the
+sync client answers with the result and the async client with a
+coroutine — so ``await client.predict(...)`` and ``client.predict(...)``
+share one definition.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import itertools
 import random
 import socket
 import time
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.obs.tracing import current_context, start_span
 from repro.serve.protocol import (
@@ -47,7 +49,6 @@ from repro.serve.protocol import (
     ProtocolError,
     Request,
     Response,
-    min_version,
 )
 
 __all__ = ["ServeClient", "AsyncServeClient", "ServeRequestError"]
@@ -84,29 +85,216 @@ def _retry_delay(attempt: int, base_s: float, max_s: float) -> float:
     return random.uniform(0.0, min(max_s, base_s * (2.0**attempt)))
 
 
+def _window_params(
+    start_hour: float, hours: float, day_type: str, **extra: Any
+) -> dict[str, Any]:
+    params = {"start_hour": start_hour, "hours": hours, "day_type": day_type}
+    params.update({k: v for k, v in extra.items() if v is not None})
+    return params
+
+
+def _same(result: Any) -> Any:
+    return result
+
+
 class _ConvenienceOps:
     """The op surface shared by the sync and async clients.
 
-    Subclasses provide ``request(op, params, deadline_ms)`` (sync or
-    async); these wrappers build params and unwrap results.  On the
-    async client every method returns a coroutine.
+    Each method builds its op's params and returns ``self._call(op,
+    params, unwrap, deadline_ms)``, the hook each subclass provides: the
+    sync client's returns the unwrapped result, the async client's is a
+    coroutine resolving to it.  Both raise :class:`ServeRequestError` on
+    a non-``ok`` status.
     """
 
-    def request(self, op, params=None, deadline_ms=None):  # pragma: no cover
-        raise NotImplementedError
-
-    def _result(self, response: Response) -> Any:
+    @staticmethod
+    def _result(response: Response) -> Any:
         if not response.ok:
             raise ServeRequestError(response)
         return response.result
 
+    def _new_request(
+        self, op: str, params: Mapping[str, Any] | None, deadline_ms: float | None
+    ) -> Request:
+        # When a trace context is ambient, each send runs under a
+        # client.request span and the *span's* context rides the wire,
+        # so server-side spans parent under this attempt (retries each
+        # get their own span and stay distinguishable in the tree).
+        ctx = current_context()
+        return Request(
+            op=op,
+            params=params or {},
+            id=f"q{next(self._ids)}",
+            deadline_ms=deadline_ms,
+            trace=None if ctx is None else ctx.to_wire(),
+        )
+
     @staticmethod
-    def _window_params(
-        start_hour: float, hours: float, day_type: str, **extra: Any
+    def _reply(req: Request, line: bytes, span: Any) -> Response:
+        if not line:
+            raise ConnectionError("server closed the connection mid-request")
+        resp = Response.decode(line)
+        if resp.id != req.id:
+            raise ProtocolError(f"response id {resp.id!r} does not match {req.id!r}")
+        if span is not None:
+            span.set(status=resp.status)
+        return resp
+
+    # -- ops ------------------------------------------------------------- #
+
+    def predict(
+        self,
+        machine: str,
+        start_hour: float,
+        hours: float,
+        day_type: str = "weekday",
+        *,
+        init_state: str | None = None,
+        deadline_ms: float | None = None,
+    ) -> float:
+        """TR of one machine over one clock window."""
+        params = _window_params(
+            start_hour, hours, day_type, machine=machine, init_state=init_state
+        )
+        return self._call("predict", params, lambda r: r["tr"], deadline_ms)
+
+    def predict_batch(
+        self,
+        start_hour: float,
+        hours: float,
+        day_type: str = "weekday",
+        *,
+        machines: list[str] | None = None,
+        deadline_ms: float | None = None,
+    ) -> dict[str, float]:
+        """TR of many machines in one request.
+
+        ``machines=None`` covers every registered machine; returns
+        ``{machine: tr}``.
+        """
+        params = _window_params(start_hour, hours, day_type, machines=machines)
+        return self._call(
+            "predict_batch", params,
+            lambda r: {p["machine"]: p["tr"] for p in r["predictions"]},
+            deadline_ms,
+        )
+
+    def fleet_scan(
+        self,
+        start_hour: float,
+        hours: float,
+        day_type: str = "weekday",
+        *,
+        machines: list[str] | None = None,
+        horizons_hours: list[float] | None = None,
+        deadline_ms: float | None = None,
     ) -> dict[str, Any]:
-        params = {"start_hour": start_hour, "hours": hours, "day_type": day_type}
-        params.update({k: v for k, v in extra.items() if v is not None})
-        return params
+        """Full fleet snapshot, best machine first.
+
+        Each entry carries TR, the S3/S4/S5 failure split, the typical
+        initial state and — when ``horizons_hours`` is given — TR at
+        each sub-horizon, all from one stacked solve.
+        """
+        params = _window_params(
+            start_hour, hours, day_type,
+            machines=machines, horizons_hours=horizons_hours,
+        )
+        return self._call("fleet_scan", params, deadline_ms=deadline_ms)
+
+    def rank(
+        self, start_hour: float, hours: float, day_type: str = "weekday"
+    ) -> list[dict[str, Any]]:
+        """All machines sorted by TR, best first."""
+        params = _window_params(start_hour, hours, day_type)
+        return self._call("rank", params, lambda r: r["ranking"])
+
+    def select(
+        self, start_hour: float, hours: float, day_type: str = "weekday", *, k: int = 1
+    ) -> dict[str, Any]:
+        """Best-k machines and their gang survival."""
+        params = _window_params(start_hour, hours, day_type, k=k)
+        return self._call("select", params)
+
+    def horizon(
+        self,
+        machine: str,
+        start_hour: float,
+        hours: float,
+        day_type: str = "weekday",
+        *,
+        tr_threshold: float = 0.9,
+    ) -> float:
+        """Longest reliable job length (seconds) at the window start."""
+        params = _window_params(
+            start_hour, hours, day_type, machine=machine, tr_threshold=tr_threshold
+        )
+        return self._call("horizon", params, lambda r: r["horizon_seconds"])
+
+    def register(self, trace: Any) -> dict[str, Any]:
+        """Register (or replace) one machine's history from a trace."""
+        return self._call("register", _trace_params(trace))
+
+    def extend(self, chunk: Any) -> dict[str, Any]:
+        """Stream a chunk of new samples for one machine."""
+        return self._call("extend", _trace_params(chunk))
+
+    def quality(self, machine: str | None = None) -> dict[str, Any]:
+        """Prediction-audit scoreboard snapshots."""
+        params = {} if machine is None else {"machine": machine}
+        return self._call("quality", params)
+
+    def tail(self, machine: str, n: int = 10) -> dict[str, Any]:
+        """Last ``n`` samples of one machine's history."""
+        return self._call("tail", {"machine": machine, "n": n})
+
+    def health(self) -> dict[str, Any]:
+        """Server liveness, queue depth, machine count."""
+        return self._call("health")
+
+    def submit(
+        self,
+        job: str,
+        total_cpu_seconds: float,
+        *,
+        cpu: float = 1.0,
+        mem_mb: float = 64.0,
+        checkpoint_interval_s: float | None = None,
+    ) -> dict[str, Any]:
+        """Submit one guest job for placement."""
+        params: dict[str, Any] = {
+            "job": job,
+            "total_cpu_seconds": total_cpu_seconds,
+            "cpu": cpu,
+            "mem_mb": mem_mb,
+        }
+        if checkpoint_interval_s is not None:
+            params["checkpoint_interval_s"] = checkpoint_interval_s
+        return self._call("submit", params)
+
+    def job_status(self, job: str) -> dict[str, Any]:
+        """Full record of one job, with clock-derived progress."""
+        return self._call("job_status", {"job": job})
+
+    def cancel(self, job: str) -> dict[str, Any]:
+        """Cancel one job; idempotent on terminal jobs."""
+        return self._call("cancel", {"job": job})
+
+    def jobs(self) -> dict[str, Any]:
+        """All job records plus scheduler stats."""
+        return self._call("jobs")
+
+    def adapt_status(self, machine: str | None = None) -> dict[str, Any]:
+        """Self-healing adapt tier state."""
+        params = {} if machine is None else {"machine": machine}
+        return self._call("adapt_status", params)
+
+    def adapt_retune(self, machine: str, *, trigger: str = "manual") -> dict[str, Any]:
+        """Backtest candidate models for one machine."""
+        return self._call("adapt_retune", {"machine": machine, "trigger": trigger})
+
+    def adapt_promote(self, machine: str, *, force: bool = False) -> dict[str, Any]:
+        """Promote the machine's shadow challenger."""
+        return self._call("adapt_promote", {"machine": machine, "force": force})
 
 
 class ServeClient(_ConvenienceOps):
@@ -209,188 +397,20 @@ class ServeClient(_ConvenienceOps):
         params: Mapping[str, Any] | None,
         deadline_ms: float | None,
     ) -> Response:
-        # When a trace context is ambient, each send becomes a
-        # client.request span and the *span's* context rides the wire,
-        # so server-side spans parent under this attempt (retries each
-        # get their own span and stay distinguishable in the tree).
         with start_span("client.request", "client", op=op) as sp:
-            ctx = current_context()
-            req = Request(
-                op=op,
-                params=params or {},
-                id=f"q{next(self._ids)}",
-                deadline_ms=deadline_ms,
-                version=min_version(op),
-                trace=None if ctx is None else ctx.to_wire(),
-            )
+            req = self._new_request(op, params, deadline_ms)
             self._file.write(req.encode())
             self._file.flush()
-            line = self._file.readline()
-            if not line:
-                raise ConnectionError("server closed the connection mid-request")
-            resp = Response.decode(line)
-            if resp.id != req.id:
-                raise ProtocolError(f"response id {resp.id!r} does not match {req.id!r}")
-            if sp is not None:
-                sp.set(status=resp.status)
-            return resp
+            return self._reply(req, self._file.readline(), sp)
 
-    # -- ops ------------------------------------------------------------- #
-
-    def predict(
+    def _call(
         self,
-        machine: str,
-        start_hour: float,
-        hours: float,
-        day_type: str = "weekday",
-        *,
-        init_state: str | None = None,
+        op: str,
+        params: Mapping[str, Any] | None = None,
+        unwrap: Callable[[Any], Any] = _same,
         deadline_ms: float | None = None,
-    ) -> float:
-        """TR of one machine over one clock window."""
-        params = self._window_params(
-            start_hour, hours, day_type, machine=machine, init_state=init_state
-        )
-        return self._result(self.request("predict", params, deadline_ms))["tr"]
-
-    def predict_batch(
-        self,
-        start_hour: float,
-        hours: float,
-        day_type: str = "weekday",
-        *,
-        machines: list[str] | None = None,
-        deadline_ms: float | None = None,
-    ) -> dict[str, float]:
-        """TR of many machines in one request (protocol v7).
-
-        ``machines=None`` covers every registered machine; returns
-        ``{machine: tr}``.
-        """
-        params = self._window_params(start_hour, hours, day_type, machines=machines)
-        result = self._result(self.request("predict_batch", params, deadline_ms))
-        return {p["machine"]: p["tr"] for p in result["predictions"]}
-
-    def fleet_scan(
-        self,
-        start_hour: float,
-        hours: float,
-        day_type: str = "weekday",
-        *,
-        machines: list[str] | None = None,
-        horizons_hours: list[float] | None = None,
-        deadline_ms: float | None = None,
-    ) -> dict[str, Any]:
-        """Full fleet snapshot, best machine first (protocol v7).
-
-        Each entry carries TR, the S3/S4/S5 failure split, the typical
-        initial state and — when ``horizons_hours`` is given — TR at
-        each sub-horizon, all from one stacked solve.
-        """
-        params = self._window_params(
-            start_hour, hours, day_type,
-            machines=machines, horizons_hours=horizons_hours,
-        )
-        return self._result(self.request("fleet_scan", params, deadline_ms))
-
-    def rank(
-        self, start_hour: float, hours: float, day_type: str = "weekday"
-    ) -> list[dict[str, Any]]:
-        """All machines sorted by TR, best first."""
-        params = self._window_params(start_hour, hours, day_type)
-        return self._result(self.request("rank", params))["ranking"]
-
-    def select(
-        self, start_hour: float, hours: float, day_type: str = "weekday", *, k: int = 1
-    ) -> dict[str, Any]:
-        """Best-k machines and their gang survival."""
-        params = self._window_params(start_hour, hours, day_type, k=k)
-        return self._result(self.request("select", params))
-
-    def horizon(
-        self,
-        machine: str,
-        start_hour: float,
-        hours: float,
-        day_type: str = "weekday",
-        *,
-        tr_threshold: float = 0.9,
-    ) -> float:
-        """Longest reliable job length (seconds) at the window start."""
-        params = self._window_params(
-            start_hour, hours, day_type, machine=machine, tr_threshold=tr_threshold
-        )
-        return self._result(self.request("horizon", params))["horizon_seconds"]
-
-    def register(self, trace: Any) -> dict[str, Any]:
-        """Register (or replace) one machine's history from a trace."""
-        return self._result(self.request("register", _trace_params(trace)))
-
-    def extend(self, chunk: Any) -> dict[str, Any]:
-        """Stream a chunk of new samples for one machine (protocol v2)."""
-        return self._result(self.request("extend", _trace_params(chunk)))
-
-    def quality(self, machine: str | None = None) -> dict[str, Any]:
-        """Prediction-audit scoreboard snapshots (protocol v3)."""
-        params = {} if machine is None else {"machine": machine}
-        return self._result(self.request("quality", params))
-
-    def tail(self, machine: str, n: int = 10) -> dict[str, Any]:
-        """Last ``n`` samples of one machine's history (protocol v6)."""
-        return self._result(self.request("tail", {"machine": machine, "n": n}))
-
-    def health(self) -> dict[str, Any]:
-        """Server liveness, queue depth, machine count."""
-        return self._result(self.request("health"))
-
-    def submit(
-        self,
-        job: str,
-        total_cpu_seconds: float,
-        *,
-        cpu: float = 1.0,
-        mem_mb: float = 64.0,
-        checkpoint_interval_s: float | None = None,
-    ) -> dict[str, Any]:
-        """Submit one guest job for placement (protocol v5)."""
-        params: dict[str, Any] = {
-            "job": job,
-            "total_cpu_seconds": total_cpu_seconds,
-            "cpu": cpu,
-            "mem_mb": mem_mb,
-        }
-        if checkpoint_interval_s is not None:
-            params["checkpoint_interval_s"] = checkpoint_interval_s
-        return self._result(self.request("submit", params))
-
-    def job_status(self, job: str) -> dict[str, Any]:
-        """Full record of one job, with clock-derived progress (v5)."""
-        return self._result(self.request("job_status", {"job": job}))
-
-    def cancel(self, job: str) -> dict[str, Any]:
-        """Cancel one job; idempotent on terminal jobs (protocol v5)."""
-        return self._result(self.request("cancel", {"job": job}))
-
-    def jobs(self) -> dict[str, Any]:
-        """All job records plus scheduler stats (protocol v5)."""
-        return self._result(self.request("jobs"))
-
-    def adapt_status(self, machine: str | None = None) -> dict[str, Any]:
-        """Self-healing adapt tier state (protocol v8)."""
-        params = {} if machine is None else {"machine": machine}
-        return self._result(self.request("adapt_status", params))
-
-    def adapt_retune(self, machine: str, *, trigger: str = "manual") -> dict[str, Any]:
-        """Backtest candidate models for one machine (protocol v8)."""
-        return self._result(
-            self.request("adapt_retune", {"machine": machine, "trigger": trigger})
-        )
-
-    def adapt_promote(self, machine: str, *, force: bool = False) -> dict[str, Any]:
-        """Promote the machine's shadow challenger (protocol v8)."""
-        return self._result(
-            self.request("adapt_promote", {"machine": machine, "force": force})
-        )
+    ) -> Any:
+        return unwrap(self._result(self.request(op, params, deadline_ms)))
 
 
 class AsyncServeClient(_ConvenienceOps):
@@ -521,181 +541,19 @@ class AsyncServeClient(_ConvenienceOps):
         params: Mapping[str, Any] | None,
         deadline_ms: float | None,
     ) -> Response:
-        # Mirrors the sync client: ambient context → client.request span
-        # whose child context rides the wire (contextvars follow the
-        # current asyncio task, so concurrent requests stay separate).
+        # contextvars follow the current asyncio task, so concurrent
+        # requests each get their own client.request span.
         with start_span("client.request", "client", op=op) as sp:
-            ctx = current_context()
-            req = Request(
-                op=op,
-                params=params or {},
-                id=f"q{next(self._ids)}",
-                deadline_ms=deadline_ms,
-                version=min_version(op),
-                trace=None if ctx is None else ctx.to_wire(),
-            )
+            req = self._new_request(op, params, deadline_ms)
             self._writer.write(req.encode())
             await self._writer.drain()
-            line = await self._reader.readline()
-            if not line:
-                raise ConnectionError("server closed the connection mid-request")
-            resp = Response.decode(line)
-            if resp.id != req.id:
-                raise ProtocolError(f"response id {resp.id!r} does not match {req.id!r}")
-            if sp is not None:
-                sp.set(status=resp.status)
-            return resp
+            return self._reply(req, await self._reader.readline(), sp)
 
-    # -- ops ------------------------------------------------------------- #
-
-    async def predict(
+    async def _call(
         self,
-        machine: str,
-        start_hour: float,
-        hours: float,
-        day_type: str = "weekday",
-        *,
-        init_state: str | None = None,
+        op: str,
+        params: Mapping[str, Any] | None = None,
+        unwrap: Callable[[Any], Any] = _same,
         deadline_ms: float | None = None,
-    ) -> float:
-        """TR of one machine over one clock window."""
-        params = self._window_params(
-            start_hour, hours, day_type, machine=machine, init_state=init_state
-        )
-        return self._result(await self.request("predict", params, deadline_ms))["tr"]
-
-    async def predict_batch(
-        self,
-        start_hour: float,
-        hours: float,
-        day_type: str = "weekday",
-        *,
-        machines: list[str] | None = None,
-        deadline_ms: float | None = None,
-    ) -> dict[str, float]:
-        """TR of many machines in one request (protocol v7)."""
-        params = self._window_params(start_hour, hours, day_type, machines=machines)
-        result = self._result(
-            await self.request("predict_batch", params, deadline_ms)
-        )
-        return {p["machine"]: p["tr"] for p in result["predictions"]}
-
-    async def fleet_scan(
-        self,
-        start_hour: float,
-        hours: float,
-        day_type: str = "weekday",
-        *,
-        machines: list[str] | None = None,
-        horizons_hours: list[float] | None = None,
-        deadline_ms: float | None = None,
-    ) -> dict[str, Any]:
-        """Full fleet snapshot, best machine first (protocol v7)."""
-        params = self._window_params(
-            start_hour, hours, day_type,
-            machines=machines, horizons_hours=horizons_hours,
-        )
-        return self._result(await self.request("fleet_scan", params, deadline_ms))
-
-    async def rank(
-        self, start_hour: float, hours: float, day_type: str = "weekday"
-    ) -> list[dict[str, Any]]:
-        """All machines sorted by TR, best first."""
-        params = self._window_params(start_hour, hours, day_type)
-        return self._result(await self.request("rank", params))["ranking"]
-
-    async def select(
-        self, start_hour: float, hours: float, day_type: str = "weekday", *, k: int = 1
-    ) -> dict[str, Any]:
-        """Best-k machines and their gang survival."""
-        params = self._window_params(start_hour, hours, day_type, k=k)
-        return self._result(await self.request("select", params))
-
-    async def horizon(
-        self,
-        machine: str,
-        start_hour: float,
-        hours: float,
-        day_type: str = "weekday",
-        *,
-        tr_threshold: float = 0.9,
-    ) -> float:
-        """Longest reliable job length (seconds) at the window start."""
-        params = self._window_params(
-            start_hour, hours, day_type, machine=machine, tr_threshold=tr_threshold
-        )
-        return self._result(await self.request("horizon", params))["horizon_seconds"]
-
-    async def register(self, trace: Any) -> dict[str, Any]:
-        """Register (or replace) one machine's history from a trace."""
-        return self._result(await self.request("register", _trace_params(trace)))
-
-    async def extend(self, chunk: Any) -> dict[str, Any]:
-        """Stream a chunk of new samples for one machine (protocol v2)."""
-        return self._result(await self.request("extend", _trace_params(chunk)))
-
-    async def quality(self, machine: str | None = None) -> dict[str, Any]:
-        """Prediction-audit scoreboard snapshots (protocol v3)."""
-        params = {} if machine is None else {"machine": machine}
-        return self._result(await self.request("quality", params))
-
-    async def tail(self, machine: str, n: int = 10) -> dict[str, Any]:
-        """Last ``n`` samples of one machine's history (protocol v6)."""
-        return self._result(await self.request("tail", {"machine": machine, "n": n}))
-
-    async def health(self) -> dict[str, Any]:
-        """Server liveness, queue depth, machine count."""
-        return self._result(await self.request("health"))
-
-    async def submit(
-        self,
-        job: str,
-        total_cpu_seconds: float,
-        *,
-        cpu: float = 1.0,
-        mem_mb: float = 64.0,
-        checkpoint_interval_s: float | None = None,
-    ) -> dict[str, Any]:
-        """Submit one guest job for placement (protocol v5)."""
-        params: dict[str, Any] = {
-            "job": job,
-            "total_cpu_seconds": total_cpu_seconds,
-            "cpu": cpu,
-            "mem_mb": mem_mb,
-        }
-        if checkpoint_interval_s is not None:
-            params["checkpoint_interval_s"] = checkpoint_interval_s
-        return self._result(await self.request("submit", params))
-
-    async def job_status(self, job: str) -> dict[str, Any]:
-        """Full record of one job, with clock-derived progress (v5)."""
-        return self._result(await self.request("job_status", {"job": job}))
-
-    async def cancel(self, job: str) -> dict[str, Any]:
-        """Cancel one job; idempotent on terminal jobs (protocol v5)."""
-        return self._result(await self.request("cancel", {"job": job}))
-
-    async def jobs(self) -> dict[str, Any]:
-        """All job records plus scheduler stats (protocol v5)."""
-        return self._result(await self.request("jobs"))
-
-    async def adapt_status(self, machine: str | None = None) -> dict[str, Any]:
-        """Self-healing adapt tier state (protocol v8)."""
-        params = {} if machine is None else {"machine": machine}
-        return self._result(await self.request("adapt_status", params))
-
-    async def adapt_retune(
-        self, machine: str, *, trigger: str = "manual"
-    ) -> dict[str, Any]:
-        """Backtest candidate models for one machine (protocol v8)."""
-        return self._result(
-            await self.request("adapt_retune", {"machine": machine, "trigger": trigger})
-        )
-
-    async def adapt_promote(
-        self, machine: str, *, force: bool = False
-    ) -> dict[str, Any]:
-        """Promote the machine's shadow challenger (protocol v8)."""
-        return self._result(
-            await self.request("adapt_promote", {"machine": machine, "force": force})
-        )
+    ) -> Any:
+        return unwrap(self._result(await self.request(op, params, deadline_ms)))

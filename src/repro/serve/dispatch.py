@@ -49,6 +49,7 @@ from repro.obs.events import get_event_log
 from repro.obs.instruments import instrument
 from repro.obs.tracing import TraceContext, record_span, start_span, use_context
 from repro.serve.protocol import (
+    OPS,
     PROTOCOL_VERSION,
     STATUS_CLOSING,
     STATUS_DEADLINE,
@@ -74,11 +75,11 @@ class DeadlineExceeded(Exception):
 
 
 class SchedulerDisabled(RuntimeError):
-    """A v5 scheduling op reached a node running without a JobManager."""
+    """A scheduling op reached a node running without a JobManager."""
 
 
 class AdaptDisabled(RuntimeError):
-    """A v8 adapt op reached a node running without an AdaptController."""
+    """An adapt op reached a node running without an AdaptController."""
 
 
 @dataclass(frozen=True)
@@ -164,9 +165,9 @@ class Dispatcher:
         #: Optional PredictionAudit: journals served predict/horizon
         #: responses and resolves them as extend/register ingest samples.
         self.audit = audit
-        #: Optional JobManager answering the v5 scheduling ops.
+        #: Optional JobManager answering the scheduling ops.
         self.sched = sched
-        #: Optional AdaptController closing the audit's alarm loop (v8).
+        #: Optional AdaptController closing the audit's alarm loop.
         self.adapt = adapt
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.max_workers, thread_name_prefix="repro-serve"
@@ -181,27 +182,10 @@ class Dispatcher:
         # writers against each other (readers stay lock-free, see the
         # thread-safety notes in service.py / core/online.py).
         self._register_lock = threading.Lock()
+        # Derived from the op table: a table op without a handler fails
+        # here, when the dispatcher is built.
         self._handlers: dict[str, Callable[[Mapping[str, Any]], Any]] = {
-            "predict": self._op_predict,
-            "predict_batch": self._op_predict_batch,
-            "fleet_scan": self._op_fleet_scan,
-            "rank": self._op_rank,
-            "select": self._op_select,
-            "horizon": self._op_horizon,
-            "register": self._op_register,
-            "extend": self._op_extend,
-            "tail": self._op_tail,
-            "quality": self._op_quality,
-            "health": self._op_health,
-            "submit": self._op_submit,
-            "job_status": self._op_job_status,
-            "cancel": self._op_cancel,
-            "jobs": self._op_jobs,
-            "replace": self._op_replace,
-            "job_put": self._op_job_put,
-            "adapt_status": self._op_adapt_status,
-            "adapt_retune": self._op_adapt_retune,
-            "adapt_promote": self._op_adapt_promote,
+            op: getattr(self, f"_op_{op}") for op in OPS
         }
 
     # ------------------------------------------------------------------ #
@@ -488,7 +472,7 @@ class Dispatcher:
         return machines
 
     def _op_predict_batch(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        """TR for many machines in one stacked solve (protocol v7)."""
+        """TR for many machines in one stacked solve."""
         window, dtype = _parse_window(params)
         machines = self._parse_machines(params)
         if machines is not None and not machines:
@@ -502,7 +486,7 @@ class Dispatcher:
         }
 
     def _op_fleet_scan(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        """Full fleet snapshot: TR, failure split, sub-horizon TRs (v7)."""
+        """Full fleet snapshot: TR, failure split, sub-horizon TRs."""
         window, dtype = _parse_window(params)
         machines = self._parse_machines(params)
         horizons = params.get("horizons_hours")
@@ -588,7 +572,7 @@ class Dispatcher:
         }
 
     def _op_extend(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        """Stream a chunk of new samples for one machine (protocol v2).
+        """Stream a chunk of new samples for one machine.
 
         Unlike ``register`` (which replaces the whole history and drops
         its caches), ``extend`` grows the history in place, keeps the
@@ -613,7 +597,7 @@ class Dispatcher:
         }
 
     def _op_tail(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        """Last N samples of one machine's history (protocol v6).
+        """Last N samples of one machine's history.
 
         The read-your-writes check of the live-ingestion pipeline: a
         monitor agent (or operator) confirms what the service holds
@@ -693,7 +677,7 @@ class Dispatcher:
             health["adapt"] = True
         return health
 
-    # -- scheduling ops (protocol v5) ------------------------------------ #
+    # -- scheduling ops -------------------------------------------------- #
 
     def _require_sched(self) -> Any:
         if self.sched is None:
@@ -751,7 +735,7 @@ class Dispatcher:
         sched = self._require_sched()
         return sched.adopt(_require(params, "record"))
 
-    # -- self-healing adapt ops (protocol v8) ----------------------------- #
+    # -- self-healing adapt ops ------------------------------------------ #
 
     def _require_adapt(self) -> Any:
         if self.adapt is None:

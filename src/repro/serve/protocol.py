@@ -1,28 +1,37 @@
-"""Wire protocol of the serving tier: JSON lines, versioned op set.
+"""Wire protocol of the serving tier: JSON lines and the op table.
 
 One request per line, one response per line, both UTF-8 JSON objects —
 the simplest protocol a scheduler written in any language can speak
-with nothing but a socket and a JSON parser.  Requests carry a protocol
-version so the op set can evolve without breaking deployed clients; a
-server that does not understand a request answers with a structured
-error response instead of dropping the connection.
+with nothing but a socket and a JSON parser.  A server that does not
+understand a request answers with a structured error response instead
+of dropping the connection, echoing the request's ``id`` whenever the
+line carried one.
+
+The protocol speaks exactly one version, :data:`PROTOCOL_VERSION`.
+Clients, router and backends ship together and no peer outside this
+package speaks the wire format, so a request declaring any other ``v``
+is refused with one ``ProtocolError`` telling the caller to upgrade.
+
+:data:`OPS` is the single place ops are declared.  Each
+:class:`OpSpec` names the op, its routing class in a cluster and the
+param that keys it on the hash ring; the dispatcher, the cluster router
+and both clients are derived from it.
 
 Request wire form::
 
-    {"v": 1, "id": "c1-17", "op": "predict",
+    {"v": 8, "id": "c1-17", "op": "predict",
      "params": {"machine": "lab-03", "start_hour": 9, "hours": 5,
                 "day_type": "weekday"},
      "deadline_ms": 250,
-     "trace": {"trace_id": "…", "span_id": "…"}}   # optional, v4
+     "trace": {"trace_id": "…", "span_id": "…"}}   # optional
 
-The ``trace`` field is the distributed-tracing envelope (protocol v4):
-requests carrying it produce per-tier spans server-side; peers that
-predate v4 ignore the key, so traced clients interoperate with old
-servers unchanged.
+The ``trace`` field is the distributed-tracing envelope: requests
+carrying it produce per-tier spans server-side; untraced requests omit
+the key.
 
 Response wire form::
 
-    {"v": 1, "id": "c1-17", "status": "ok", "result": {"tr": 0.93},
+    {"v": 8, "id": "c1-17", "status": "ok", "result": {"tr": 0.93},
      "coalesced": false, "elapsed_ms": 1.8}
 
 ``status`` is ``ok`` or one of the failure codes in :data:`STATUSES`;
@@ -46,10 +55,8 @@ from typing import Any, Mapping
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
+    "OpSpec",
     "OPS",
-    "OPS_BY_VERSION",
-    "min_version",
     "STATUSES",
     "STATUS_OK",
     "STATUS_ERROR",
@@ -62,84 +69,62 @@ __all__ = [
     "Response",
 ]
 
-#: Current protocol version; bump when an op's contract changes.
-#: v1: predict/rank/select/horizon/register/health.
-#: v2: adds ``extend`` (stream a chunk of new samples for one machine).
-#: v3: adds ``quality`` (prediction-audit scoreboard snapshots).
-#: v4: adds the optional ``trace`` envelope field (distributed-tracing
-#:     context).  No new ops; the field may ride a request at *any*
-#:     version — pre-v4 servers decode with ``from_wire``, which ignores
-#:     unknown keys, so the envelope degrades silently on old peers.
-#: v5: adds the scheduling ops — ``submit``/``job_status``/``cancel``/
-#:     ``jobs`` for clients, plus the internal ``replace`` (node-death
-#:     re-placement broadcast) and ``job_put`` (job-record replication)
-#:     the cluster router uses.  A v4-or-older client sending any of
-#:     them gets the structured unsupported-version error.
-#: v6: adds ``tail`` (read the last N samples of one machine's history)
-#:     — the observability end of the live-ingestion pipeline: a monitor
-#:     agent (or an operator) verifies what the service actually holds
-#:     without racing the store files on disk.
-#: v7: adds the fleet batch ops — ``predict_batch`` (TR for many
-#:     machines in one request, served by one stacked Eq.-3 solve) and
-#:     ``fleet_scan`` (the full per-machine snapshot: TR, failure split,
-#:     optional sub-horizon TRs).  Replaces N scalar predicts for
-#:     rank/select-style consumers; a v6-or-older client sending either
-#:     gets the structured unsupported-version error.
-#: v8: adds the self-healing adapt ops — ``adapt_status`` (per-machine
-#:     retune/trial/fallback state; the router scatter-merges it),
-#:     ``adapt_retune`` (backtest the candidate grid for one machine and
-#:     open a shadow trial when a candidate wins) and ``adapt_promote``
-#:     (install the machine's challenger; margin-gated unless forced).
-#:     A v7-or-older client sending any of them gets the structured
-#:     unsupported-version error.
+#: The one protocol version this build speaks.
 PROTOCOL_VERSION = 8
 
-#: The op set introduced by each protocol version.  A server validates a
-#: request's op against the *request's* version, so an old client is
-#: never answered with an op it cannot know about, and a new client
-#: talking to an old server gets a structured "unsupported version"
-#: error rather than a dropped connection.
-OPS_BY_VERSION: dict[int, frozenset[str]] = {
-    1: frozenset({"predict", "rank", "select", "horizon", "register", "health"}),
-}
-OPS_BY_VERSION[2] = OPS_BY_VERSION[1] | {"extend"}
-OPS_BY_VERSION[3] = OPS_BY_VERSION[2] | {"quality"}
-OPS_BY_VERSION[4] = OPS_BY_VERSION[3]  # v4 adds the trace envelope, no ops
-OPS_BY_VERSION[5] = OPS_BY_VERSION[4] | {
-    "submit",
-    "job_status",
-    "cancel",
-    "jobs",
-    "replace",
-    "job_put",
-}
-OPS_BY_VERSION[6] = OPS_BY_VERSION[5] | {"tail"}
-OPS_BY_VERSION[7] = OPS_BY_VERSION[6] | {"predict_batch", "fleet_scan"}
-OPS_BY_VERSION[8] = OPS_BY_VERSION[7] | {
-    "adapt_status",
-    "adapt_retune",
-    "adapt_promote",
-}
 
-#: Versions this build can answer.
-SUPPORTED_VERSIONS: frozenset[int] = frozenset(OPS_BY_VERSION)
+@dataclass(frozen=True)
+class OpSpec:
+    """One op of the wire protocol."""
 
-#: The full op set of the current version.
-OPS: frozenset[str] = OPS_BY_VERSION[PROTOCOL_VERSION]
+    name: str
+    #: Routing class — how the cluster router answers the op:
+    #:
+    #: * ``local`` — the router answers itself (its cluster view);
+    #: * ``owner`` — the key's replica set, in ring order, with failover;
+    #: * ``quorum`` — every owner of the key, acked at write quorum;
+    #: * ``scatter`` — every live node, answers merged by the router;
+    #: * ``submit`` — placed at the job's owner, record then replicated.
+    route: str
+    #: The param whose value places the op on the hash ring (``owner``,
+    #: ``quorum`` and ``submit`` ops).  ``job_put`` reads it from its
+    #: replicated ``record``.
+    key: str | None = None
 
 
-def min_version(op: str) -> int:
-    """The lowest protocol version that includes ``op``.
-
-    Clients send each request at this version so they stay compatible
-    with older servers for ops those servers already speak.
-    """
-    for version in sorted(OPS_BY_VERSION):
-        if op in OPS_BY_VERSION[version]:
-            return version
-    raise ProtocolError(
-        f"unknown op {op!r}; v{PROTOCOL_VERSION} ops: {', '.join(sorted(OPS))}"
+#: Every op, declared once.  Adding an op takes an entry here and an
+#: ``_op_<name>`` handler on the dispatcher (plus a merge entry in the
+#: router when it scatters).
+OPS: dict[str, OpSpec] = {
+    spec.name: spec
+    for spec in (
+        OpSpec("health", "local"),
+        # machine reads
+        OpSpec("predict", "owner", "machine"),
+        OpSpec("horizon", "owner", "machine"),
+        OpSpec("tail", "owner", "machine"),
+        # fleet reads
+        OpSpec("rank", "scatter"),
+        OpSpec("select", "scatter"),
+        OpSpec("predict_batch", "scatter"),
+        OpSpec("fleet_scan", "scatter"),
+        # history writes
+        OpSpec("register", "quorum", "machine"),
+        OpSpec("extend", "quorum", "machine"),
+        # prediction audit and the self-healing model tier
+        OpSpec("quality", "scatter"),
+        OpSpec("adapt_status", "scatter"),
+        OpSpec("adapt_retune", "quorum", "machine"),
+        OpSpec("adapt_promote", "quorum", "machine"),
+        # scheduling; replace and job_put are the router's own traffic
+        OpSpec("submit", "submit", "job"),
+        OpSpec("job_status", "owner", "job"),
+        OpSpec("cancel", "quorum", "job"),
+        OpSpec("jobs", "scatter"),
+        OpSpec("replace", "scatter"),
+        OpSpec("job_put", "quorum", "job"),
     )
+}
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
@@ -163,7 +148,13 @@ MAX_LINE_BYTES = 32 * 1024 * 1024
 
 
 class ProtocolError(ValueError):
-    """A request (or response) that violates the wire contract."""
+    """A request (or response) that violates the wire contract.
+
+    ``request_id`` is the ``id`` the offending line carried (empty when
+    it carried none), so the refusal can still be matched by its sender.
+    """
+
+    request_id: str = ""
 
 
 def _encode(obj: Mapping[str, Any]) -> bytes:
@@ -171,11 +162,9 @@ def _encode(obj: Mapping[str, Any]) -> bytes:
 
 
 def _decode_line(line: bytes | str) -> dict[str, Any]:
-    if isinstance(line, bytes):
-        line = line.decode("utf-8")
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ProtocolError(f"expected a JSON object, got {type(obj).__name__}")
@@ -190,29 +179,16 @@ class Request:
     params: Mapping[str, Any] = field(default_factory=dict)
     id: str = ""
     deadline_ms: float | None = None
-    version: int = PROTOCOL_VERSION
-    #: Optional distributed-tracing context (v4 envelope).  Kept as the
-    #: raw wire mapping — this module stays pure wire format; the obs
-    #: layer parses it into a ``TraceContext``.  Absent (None) on
-    #: untraced requests, so a v3 peer round-trips byte-identically.
+    #: Optional distributed-tracing context.  Kept as the raw wire
+    #: mapping — this module stays pure wire format; the obs layer
+    #: parses it into a ``TraceContext``.  Absent (None) on untraced
+    #: requests, which then carry no ``trace`` key at all.
     trace: Mapping[str, Any] | None = None
 
     def __post_init__(self) -> None:
-        if self.version not in SUPPORTED_VERSIONS:
+        if self.op not in OPS:
             raise ProtocolError(
-                f"unsupported protocol version {self.version!r} "
-                f"(this build speaks v1..v{PROTOCOL_VERSION})"
-            )
-        version_ops = OPS_BY_VERSION[self.version]
-        if self.op not in version_ops:
-            if self.op in OPS:
-                raise ProtocolError(
-                    f"op {self.op!r} requires protocol v{min_version(self.op)}, "
-                    f"request declared v{self.version}"
-                )
-            raise ProtocolError(
-                f"unknown op {self.op!r}; v{self.version} ops: "
-                f"{', '.join(sorted(version_ops))}"
+                f"unknown op {self.op!r}; ops: {', '.join(sorted(OPS))}"
             )
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ProtocolError(
@@ -230,7 +206,7 @@ class Request:
 
     def to_wire(self) -> dict[str, Any]:
         """The JSON-serializable wire object."""
-        obj: dict[str, Any] = {"v": self.version, "id": self.id, "op": self.op}
+        obj: dict[str, Any] = {"v": PROTOCOL_VERSION, "id": self.id, "op": self.op}
         if self.params:
             obj["params"] = dict(self.params)
         if self.deadline_ms is not None:
@@ -246,6 +222,13 @@ class Request:
     @classmethod
     def from_wire(cls, obj: Mapping[str, Any]) -> "Request":
         """Validate and build a request from a decoded wire object."""
+        version = obj.get("v", PROTOCOL_VERSION)
+        # Exact type: true and 8.0 compare equal to ints but are not one.
+        if type(version) is not int or version != PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"unsupported protocol version {version!r}: this server speaks "
+                f"only v{PROTOCOL_VERSION}; upgrade the client"
+            )
         if "op" not in obj:
             raise ProtocolError("request is missing 'op'")
         params = obj.get("params", {})
@@ -262,14 +245,18 @@ class Request:
             params=params,
             id=str(obj.get("id", "")),
             deadline_ms=None if deadline is None else float(deadline),
-            version=int(obj.get("v", PROTOCOL_VERSION)),
             trace=trace,
         )
 
     @classmethod
     def decode(cls, line: bytes | str) -> "Request":
         """Parse one wire line into a request."""
-        return cls.from_wire(_decode_line(line))
+        obj = _decode_line(line)
+        try:
+            return cls.from_wire(obj)
+        except ProtocolError as exc:
+            exc.request_id = str(obj.get("id", ""))
+            raise
 
 
 @dataclass(frozen=True)
@@ -282,7 +269,6 @@ class Response:
     error: Mapping[str, str] | None = None
     coalesced: bool = False
     elapsed_ms: float | None = None
-    version: int = PROTOCOL_VERSION
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
@@ -344,7 +330,7 @@ class Response:
 
     def to_wire(self) -> dict[str, Any]:
         """The JSON-serializable wire object."""
-        obj: dict[str, Any] = {"v": self.version, "id": self.id, "status": self.status}
+        obj: dict[str, Any] = {"v": PROTOCOL_VERSION, "id": self.id, "status": self.status}
         if self.result is not None:
             obj["result"] = self.result
         if self.error is not None:
@@ -374,7 +360,6 @@ class Response:
             error=error,
             coalesced=bool(obj.get("coalesced", False)),
             elapsed_ms=obj.get("elapsed_ms"),
-            version=int(obj.get("v", PROTOCOL_VERSION)),
         )
 
     @classmethod

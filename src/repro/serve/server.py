@@ -138,7 +138,9 @@ class ServeServer:
         try:
             request = Request.decode(line)
         except ProtocolError as exc:
-            response = Response.failure("", STATUS_ERROR, "ProtocolError", str(exc))
+            response = Response.failure(
+                exc.request_id, STATUS_ERROR, "ProtocolError", str(exc)
+            )
             instrument("serve_requests_total").labels(op="invalid", status=STATUS_ERROR).inc()
         else:
             response = await asyncio.wrap_future(self.dispatcher.submit(request))

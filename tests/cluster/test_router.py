@@ -10,6 +10,7 @@ import pytest
 from repro.core.windows import ClockWindow, DayType
 from repro.obs.metrics import scoped_registry
 from repro.serve.client import ServeClient, ServeRequestError
+from repro.serve.protocol import PROTOCOL_VERSION
 
 from .conftest import flat_trace
 
@@ -182,7 +183,9 @@ class TestRouterHealth:
             resp = json.loads(f.readline())
             assert resp["status"] == "error"
             # connection survives; a real request still works
-            f.write(json.dumps({"v": 2, "id": "x", "op": "health"}).encode() + b"\n")
+            f.write(json.dumps(
+                {"v": PROTOCOL_VERSION, "id": "x", "op": "health"}
+            ).encode() + b"\n")
             f.flush()
             resp = json.loads(f.readline())
             assert resp["status"] == "ok"

@@ -1,7 +1,6 @@
-"""The v8 adapt ops over the wire, and the adapt-off byte-identity.
+"""The adapt ops over the wire, and the adapt-off byte-identity.
 
-Covers version gating (a v7 request may not name an adapt op), the
-``AdaptDisabled`` refusal on nodes serving without ``--adapt``, and the
+Covers the ``AdaptDisabled`` refusal on nodes serving without ``--adapt``, and the
 cache-coherence contract of a promotion: after ``adapt_promote``, both
 single ``predict`` answers and batched ``fleet_scan`` rows served over
 the wire must come from the promoted hyperparameters — the per-machine
@@ -89,8 +88,9 @@ class TestVersionGating:
         finally:
             srv.stop()
         assert resp["status"] == "error"
-        assert "requires protocol v8" in resp["error"]["message"]
-        assert "adapt_status" in resp["error"]["message"]
+        assert resp["error"]["type"] == "ProtocolError"
+        assert "upgrade the client" in resp["error"]["message"]
+        assert resp["id"] == "x"
 
     def test_v8_request_reaches_the_handler(self):
         srv = adapt_server()
@@ -105,7 +105,7 @@ class TestVersionGating:
 
 
 class TestAdaptDisabled:
-    """A node serving without --adapt: v<=7 behaviour is untouched."""
+    """A node serving without --adapt: non-adapt answers are untouched."""
 
     @pytest.fixture()
     def plain_server(self):

@@ -1,5 +1,5 @@
-"""The v2 ``extend`` op: streaming ingest over the wire, version gating,
-and the clients' bounded backpressure retry."""
+"""The ``extend`` op: streaming ingest over the wire, and the clients'
+bounded backpressure retry."""
 
 import asyncio
 import json
@@ -13,11 +13,7 @@ from repro.core.windows import ClockWindow, DayType
 from repro.serve.client import AsyncServeClient, ServeClient
 from repro.serve.dispatch import DispatchConfig
 from repro.serve.server import ServeServer
-from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    Request,
-    min_version,
-)
+from repro.serve.protocol import OPS, PROTOCOL_VERSION, Request
 from repro.service import AvailabilityService
 from repro.traces.trace import MachineTrace
 
@@ -119,23 +115,10 @@ class TestVersionGating:
             fh.flush()
             return json.loads(fh.readline())
 
-    def test_clients_send_each_op_at_min_version(self):
-        assert min_version("predict") == 1
-        assert min_version("extend") == 2
-        assert min_version("quality") == 3
-        assert min_version("submit") == 5
-        assert min_version("tail") == 6
-        assert min_version("predict_batch") == 7
-        assert min_version("fleet_scan") == 7
-        assert min_version("adapt_status") == 8
-        assert min_version("adapt_retune") == 8
-        assert min_version("adapt_promote") == 8
-        assert PROTOCOL_VERSION == 8  # v8 adds the adapt ops
-        assert Request(op="health").to_wire()["v"] == PROTOCOL_VERSION  # default
-        wire = json.loads(
-            Request(op="predict", version=min_version("predict")).encode()
-        )
-        assert wire["v"] == 1
+    def test_clients_send_each_op_at_protocol_version(self):
+        assert PROTOCOL_VERSION == 8
+        for op in OPS:
+            assert Request(op=op).to_wire()["v"] == PROTOCOL_VERSION
 
     def test_v1_request_cannot_use_extend(self, server):
         resp = self._raw_roundtrip(
@@ -143,7 +126,7 @@ class TestVersionGating:
         )
         assert resp["status"] == "error"
         assert resp["error"]["type"] == "ProtocolError"
-        assert "requires protocol v2" in resp["error"]["message"]
+        assert "upgrade the client" in resp["error"]["message"]
 
     def test_unknown_version_is_structured_error(self, server):
         resp = self._raw_roundtrip(
@@ -154,7 +137,11 @@ class TestVersionGating:
         assert "unsupported protocol version" in resp["error"]["message"]
 
     def test_v1_ops_still_served(self, server):
-        resp = self._raw_roundtrip(server.port, {"v": 1, "id": "h", "op": "health"})
+        v1 = {"predict", "rank", "select", "horizon", "register", "health"}
+        assert v1 <= set(OPS)
+        resp = self._raw_roundtrip(
+            server.port, {"v": PROTOCOL_VERSION, "id": "h", "op": "health"}
+        )
         assert resp["status"] == "ok"
 
 
@@ -182,10 +169,10 @@ class _SheddingServer:
                 req = json.loads(line)
                 self.requests_seen += 1
                 if self.requests_seen <= self.shed_first:
-                    resp = {"v": 2, "id": req["id"], "status": "shed",
+                    resp = {"v": PROTOCOL_VERSION, "id": req["id"], "status": "shed",
                             "error": {"type": "Overload", "message": "queue full"}}
                 else:
-                    resp = {"v": 2, "id": req["id"], "status": "ok",
+                    resp = {"v": PROTOCOL_VERSION, "id": req["id"], "status": "ok",
                             "result": {"status": "ok", "machines": 0}}
                 fh.write(json.dumps(resp).encode() + b"\n")
                 fh.flush()

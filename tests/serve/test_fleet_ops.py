@@ -1,8 +1,9 @@
-"""The v7 fleet batch ops: ``predict_batch`` and ``fleet_scan``.
+"""The fleet batch ops: ``predict_batch`` and ``fleet_scan``.
 
 One wire call answers TR for many machines from one stacked kernel
 solve; every answer must equal the scalar ``predict`` for the same
-machine, and pre-v7 clients must be refused with a structured error.
+machine, and requests at an older protocol version must be refused
+with a structured error.
 """
 
 import json
@@ -142,7 +143,7 @@ class TestProtocolGating:
             fh.flush()
             resp = json.loads(fh.readline())
         assert resp["status"] == "error"
-        assert "requires protocol v7" in resp["error"]["message"]
+        assert "upgrade the client" in resp["error"]["message"]
 
     def test_pre_v7_request_cannot_use_fleet_scan(self, server):
         with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
@@ -154,7 +155,7 @@ class TestProtocolGating:
             fh.flush()
             resp = json.loads(fh.readline())
         assert resp["status"] == "error"
-        assert "requires protocol v7" in resp["error"]["message"]
+        assert "upgrade the client" in resp["error"]["message"]
 
     def test_health_reports_current_protocol_version(self, server):
         from repro.serve.protocol import PROTOCOL_VERSION

@@ -6,7 +6,6 @@ import pytest
 
 from repro.serve.protocol import (
     OPS,
-    OPS_BY_VERSION,
     PROTOCOL_VERSION,
     STATUS_DEADLINE,
     STATUS_ERROR,
@@ -41,32 +40,45 @@ class TestRequest:
             Request(op="destroy")
 
     def test_versioned_op_set(self):
+        # the one version speaks the full op set; no op needs another v
         v1 = {"predict", "rank", "select", "horizon", "register", "health"}
-        assert OPS_BY_VERSION[1] == v1
-        assert OPS_BY_VERSION[2] == v1 | {"extend"}
-        assert OPS_BY_VERSION[3] == v1 | {"extend", "quality"}
         sched_ops = {"submit", "job_status", "cancel", "jobs", "replace", "job_put"}
-        assert OPS_BY_VERSION[5] == OPS_BY_VERSION[4] | sched_ops
-        assert OPS_BY_VERSION[6] == OPS_BY_VERSION[5] | {"tail"}
         fleet_ops = {"predict_batch", "fleet_scan"}
-        assert OPS_BY_VERSION[7] == OPS_BY_VERSION[6] | fleet_ops
         adapt_ops = {"adapt_status", "adapt_retune", "adapt_promote"}
-        assert OPS_BY_VERSION[8] == OPS_BY_VERSION[7] | adapt_ops
-        assert OPS == (
+        assert set(OPS) == (
             v1 | {"extend", "quality", "tail"} | sched_ops | fleet_ops | adapt_ops
         )
+        for op in OPS:
+            wire = {"v": PROTOCOL_VERSION, "op": op}
+            assert Request.from_wire(wire).op == op
+            with pytest.raises(ProtocolError, match="upgrade the client"):
+                Request.from_wire({**wire, "v": PROTOCOL_VERSION - 1})
 
     def test_wrong_version_rejected(self):
         with pytest.raises(ProtocolError, match="version"):
             Request.decode(b'{"v": 99, "op": "health"}')
 
+    @pytest.mark.parametrize("version", ["8", None, True, 8.0])
+    def test_non_integer_version_rejected(self, version):
+        with pytest.raises(ProtocolError, match="upgrade the client"):
+            Request.from_wire({"v": version, "op": "health"})
+
+    def test_refusal_carries_the_request_id(self):
+        with pytest.raises(ProtocolError) as err:
+            Request.decode(b'{"v": 1, "id": "q9", "op": "health"}')
+        assert err.value.request_id == "q9"
+
     def test_missing_op_rejected(self):
         with pytest.raises(ProtocolError, match="missing 'op'"):
-            Request.decode(b'{"v": 1}')
+            Request.decode(b'{"v": 8}')
 
     def test_invalid_json_rejected(self):
         with pytest.raises(ProtocolError, match="invalid JSON"):
             Request.decode(b"{nope")
+
+    def test_invalid_utf8_rejected(self):
+        with pytest.raises(ProtocolError, match="invalid JSON"):
+            Request.decode(b'{"op": "health", "id": "\xff"}')
 
     def test_non_object_rejected(self):
         with pytest.raises(ProtocolError, match="object"):
@@ -78,7 +90,7 @@ class TestRequest:
 
     def test_params_must_be_object(self):
         with pytest.raises(ProtocolError, match="params"):
-            Request.decode(b'{"v": 1, "op": "health", "params": [1]}')
+            Request.decode(b'{"v": 8, "op": "health", "params": [1]}')
 
 
 class TestResponse:

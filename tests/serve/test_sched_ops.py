@@ -1,10 +1,11 @@
-"""Protocol v5 scheduling ops over a real TCP server.
+"""The scheduling ops over a real TCP server.
 
 Covers the client-facing ops (submit / job_status / cancel / jobs), the
 internal replication op (job_put), the replace broadcast handler, and
-the two degraded paths: a v4 client sending a v5-only op (structured
-version error, connection survives), and a scheduling op reaching a
-node running without a JobManager (structured SchedulerDisabled).
+the two degraded paths: a stale peer sending an old protocol version
+(structured version error, connection survives), and a scheduling op
+reaching a node running without a JobManager (structured
+SchedulerDisabled).
 """
 
 import asyncio
@@ -19,6 +20,7 @@ from repro.core.windows import SECONDS_PER_DAY
 from repro.sched import JobManager, SchedConfig
 from repro.serve.client import ServeClient, ServeRequestError
 from repro.serve.dispatch import DispatchConfig
+from repro.serve.protocol import PROTOCOL_VERSION
 from repro.serve.server import ServeServer
 from repro.service import AvailabilityService
 from repro.traces.trace import MachineTrace
@@ -126,8 +128,8 @@ class TestSchedOps:
 
 class TestVersionGating:
     def test_v4_client_submit_gets_structured_error_not_drop(self, server):
-        """Satellite: a pre-v5 peer sending a v5-only op keeps its
-        connection and receives a structured version error."""
+        """A stale peer sending a scheduling op keeps its connection and
+        receives a structured version error carrying its request id."""
         with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
             f = sock.makefile("rwb")
             f.write(json.dumps({
@@ -136,13 +138,12 @@ class TestVersionGating:
             }).encode() + b"\n")
             f.flush()
             resp = json.loads(f.readline())
-            assert resp["status"] == "error"
+            assert resp["status"] == "error" and resp["id"] == "old-1"
             assert resp["error"]["type"] == "ProtocolError"
-            assert "requires protocol v5" in resp["error"]["message"]
-            assert "declared v4" in resp["error"]["message"]
-            # same socket, well-formed v5 request: still served
+            assert "upgrade the client" in resp["error"]["message"]
+            # same socket, well-formed current request: still served
             f.write(json.dumps({
-                "v": 5, "id": "new-1", "op": "submit",
+                "v": PROTOCOL_VERSION, "id": "new-1", "op": "submit",
                 "params": {"job": "j", "total_cpu_seconds": 10.0, "cpu": 0.25},
             }).encode() + b"\n")
             f.flush()
@@ -166,10 +167,10 @@ class TestVersionGating:
                     {"v": 4, "id": op, "op": op, "params": params}
                 ).encode() + b"\n")
             f.flush()
-            for _ in ops:
+            for op in ops:
                 resp = json.loads(f.readline())
-                assert resp["status"] == "error"
-                assert "requires protocol v5" in resp["error"]["message"]
+                assert resp["status"] == "error" and resp["id"] == op
+                assert "upgrade the client" in resp["error"]["message"]
 
 
 class TestSchedulerDisabled:

@@ -12,6 +12,7 @@ from repro.core.estimator import EstimatorConfig
 from repro.core.windows import SECONDS_PER_DAY, ClockWindow, DayType
 from repro.serve.client import AsyncServeClient, ServeClient, ServeRequestError
 from repro.serve.dispatch import DispatchConfig
+from repro.serve.protocol import PROTOCOL_VERSION
 from repro.serve.server import ServeServer
 from repro.service import AvailabilityService
 from repro.traces.trace import MachineTrace
@@ -134,7 +135,7 @@ class TestRawWire:
             resp = json.loads(f.readline())
             assert resp["status"] == "error"
             assert resp["error"]["type"] == "ProtocolError"
-            f.write(b'{"v": 1, "id": "h1", "op": "health"}\n')
+            f.write(b'{"v": %d, "id": "h1", "op": "health"}\n' % PROTOCOL_VERSION)
             f.flush()
             resp = json.loads(f.readline())
             assert resp["status"] == "ok" and resp["id"] == "h1"
@@ -144,7 +145,8 @@ class TestRawWire:
             f = sock.makefile("rwb")
             for i in range(5):
                 f.write(
-                    json.dumps({"v": 1, "id": f"p{i}", "op": "health"}).encode() + b"\n"
+                    json.dumps({"v": PROTOCOL_VERSION, "id": f"p{i}", "op": "health"}).encode()
+                    + b"\n"
                 )
             f.flush()
             ids = {json.loads(f.readline())["id"] for _ in range(5)}
@@ -154,7 +156,7 @@ class TestRawWire:
         with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
             f = sock.makefile("rwb")
             f.write(b"\n\n")
-            f.write(b'{"v": 1, "id": "x", "op": "health"}\n')
+            f.write(b'{"v": %d, "id": "x", "op": "health"}\n' % PROTOCOL_VERSION)
             f.flush()
             assert json.loads(f.readline())["id"] == "x"
 
@@ -263,7 +265,7 @@ class _FlakyListener:
                             break  # close mid-request
                         req = json.loads(line)
                         f.write(json.dumps({
-                            "v": 2, "id": req["id"], "status": "ok",
+                            "v": PROTOCOL_VERSION, "id": req["id"], "status": "ok",
                             "result": {"echo": req["op"]},
                         }).encode() + b"\n")
                         f.flush()

@@ -1,4 +1,4 @@
-"""The v6 ``tail`` op: reading the newest samples back over the wire.
+"""The ``tail`` op: reading the newest samples back over the wire.
 
 ``tail`` closes the ingestion loop — after an agent streams telemetry
 in through ``extend``, an operator can look at what the server actually
@@ -83,7 +83,7 @@ class TestTail:
             fh.flush()
             resp = json.loads(fh.readline())
         assert resp["status"] == "error"
-        assert "requires protocol v6" in resp["error"]["message"]
+        assert "upgrade the client" in resp["error"]["message"]
 
     def test_tail_sees_extend_immediately(self, server):
         trace = small_trace()

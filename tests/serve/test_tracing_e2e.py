@@ -1,4 +1,4 @@
-"""End-to-end tracing through a real ServeServer, and v3/v4 wire compat."""
+"""End-to-end tracing through a real ServeServer, and untraced wire compat."""
 
 import asyncio
 import json
@@ -107,15 +107,13 @@ class TestWireCompat:
         wire = json.loads(Request(op="health").encode().decode())
         assert "trace" not in wire
 
-    def test_v3_request_round_trips_unchanged(self):
-        # a pre-v4 peer's request: no trace field, explicit v3
-        raw = json.dumps(
-            {"v": 3, "op": "predict", "id": "r1",
-             "params": {"machine": "m0", "start_hour": 9, "hours": 2}}
-        ).encode()
-        req = Request.decode(raw)
+    def test_untraced_request_round_trips_unchanged(self):
+        # an untraced peer's request: no trace field
+        wire = {"v": PROTOCOL_VERSION, "id": "r1", "op": "predict",
+                "params": {"machine": "m0", "start_hour": 9, "hours": 2}}
+        req = Request.decode(json.dumps(wire).encode())
         assert req.trace is None
-        assert json.loads(req.encode().decode())["v"] == 3
+        assert json.loads(req.encode().decode()) == wire
 
     def test_trace_field_round_trips(self):
         ctx = TraceContext.new_root()
@@ -124,9 +122,23 @@ class TestWireCompat:
         assert again.trace == ctx.to_wire()
         assert TraceContext.from_wire(again.trace) == ctx
 
+    def test_server_answers_untraced_clients_without_trace(self, server):
+        # hand-rolled untraced request straight over a socket: the reply
+        # must be a normal response with no trace-related additions
+        import socket as socket_mod
+
+        with socket_mod.create_connection(("127.0.0.1", server.port), 5) as sock:
+            sock.sendall(json.dumps(
+                {"v": PROTOCOL_VERSION, "op": "health", "id": "x1", "params": {}}
+            ).encode() + b"\n")
+            fh = sock.makefile("rb")
+            reply = json.loads(fh.readline().decode())
+        assert reply["status"] == "ok"
+        assert "trace" not in reply
+
     def test_server_answers_v3_clients_without_trace(self, server):
-        # hand-rolled v3 request straight over a socket: the reply must
-        # be a normal response with no trace-related additions
+        # a pre-tracing peer is refused with a plain structured error:
+        # its id echoed, no trace-related additions
         import socket as socket_mod
 
         with socket_mod.create_connection(("127.0.0.1", server.port), 5) as sock:
@@ -135,8 +147,9 @@ class TestWireCompat:
             ).encode() + b"\n")
             fh = sock.makefile("rb")
             reply = json.loads(fh.readline().decode())
-        assert reply["status"] == "ok"
-        assert "trace" not in reply
+        assert reply["status"] == "error" and reply["id"] == "x1"
+        assert reply["error"]["type"] == "ProtocolError"
+        assert set(reply) == {"v", "id", "status", "error"}
 
     def test_trace_envelope_version_supported(self):
         # the trace envelope arrived in v4; later bumps must keep it
