@@ -9,9 +9,9 @@ Two layers, same question ("TR for every machine, now"):
   the batched arm replaces M small BLAS calls per step with two batched
   matmuls, so the win here is call-overhead amortization (a few ×).
 * **service level** — a 100-machine registry answering rank/select.
-  The scalar loop (``predict_all(batch=False)``) re-pools observations
-  and re-builds each machine's kernel on *every* query; the fleet path
-  (``fleet_scan``) fingerprints built kernel rows by history length and
+  The scalar loop (one ``service.predict`` per machine) re-pools
+  observations and re-builds each machine's kernel on *every* query; the
+  fleet path (``fleet_scan``) fingerprints built kernel rows by history length and
   caches whole scans, so a steady-state scan costs one batched solve at
   worst and a cache hit at best.  This is where the order-of-magnitude
   lives, and it is the path ``rank``/``select``/the placement engine
@@ -130,10 +130,13 @@ def run(scale: str = "quick", *, seed: int = 0) -> ExperimentResult:
         service.register(trace)
     window = AbsoluteWindow(2.0 * 86400.0 + 9.0 * 3600.0, 4.0 * 3600.0)
 
+    def scalar_loop() -> dict[str, float]:
+        return {m: service.predict(m, window) for m in service.machine_ids}
+
     # Warm the per-day observation caches both arms share, then verify
     # the batched answers (and the rank ordering built from them) are
     # exactly the scalar path's.
-    scalar_trs = service.predict_all(window, batch=False)
+    scalar_trs = scalar_loop()
     scan = service.fleet_scan(window)
     batch_trs = scan.trs()
     tr_diff = max(abs(scalar_trs[m] - batch_trs[m]) for m in scalar_trs)
@@ -143,9 +146,7 @@ def run(scale: str = "quick", *, seed: int = 0) -> ExperimentResult:
     ]
     assert scalar_rank == [m for m, _ in scan.ranking()], "rank ordering diverged"
 
-    scalar_ms = _median_ms(
-        lambda: service.predict_all(window, batch=False), service_reps
-    )
+    scalar_ms = _median_ms(scalar_loop, service_reps)
 
     def cold_scan():
         # Invalidate fleet caches only: the scalar arm's observation

@@ -34,7 +34,6 @@ better, via the ``:higher`` gate-key suffix).
 
 from __future__ import annotations
 
-import json
 import time
 
 from repro.bench.harness import ExperimentResult, ResultTable
@@ -76,7 +75,6 @@ def _dead_at(timeline, t: float) -> bool:
 def _run_arm(
     *,
     predictive: bool,
-    batch_predict: bool = True,
     service: AvailabilityService,
     timelines: dict[str, tuple],
     job_hours: tuple[float, ...],
@@ -99,11 +97,7 @@ def _run_arm(
     sim_now = [sim_start]
     manager = JobManager(
         service,
-        config=SchedConfig(
-            predictive=predictive,
-            checkpoint_interval_s=3600.0,
-            batch_predict=batch_predict,
-        ),
+        config=SchedConfig(predictive=predictive, checkpoint_interval_s=3600.0),
         clock=lambda: sim_now[0],
         node="bench",
     )
@@ -156,12 +150,7 @@ def _run_arm(
         if a["machine"].startswith("srv-")
     )
     manager.close()
-    # Deterministic transcript of every record (the sim clock stamps all
-    # timestamps), so two arms fed the same script can be compared for
-    # byte-identical placement decisions.
-    decisions = json.dumps(final, sort_keys=True)
     return {
-        "decisions": decisions,
         "created": created,
         "completed": len(completed),
         "useful_cpu_s": useful,
@@ -256,28 +245,6 @@ def run(scale: str = "quick", *, seed: int = 0) -> ExperimentResult:
             round(a["place_p50_ms"], 2), round(a["place_p99_ms"], 2),
         )
     result.tables.append(table)
-
-    # Batched-vs-scalar TR identity: the predictive arm re-run with the
-    # fleet batch path disabled must place every job on the same machine
-    # at the same time for the same reason — the replay transcript (sim
-    # clock timestamps included) is compared byte-for-byte.
-    scalar_arm = _run_arm(
-        predictive=True,
-        batch_predict=False,
-        service=service,
-        timelines=timelines,
-        job_hours=job_hours,
-        target_inflight=target_inflight,
-        max_jobs=max_jobs,
-        sim_start=sim_start,
-        sim_end=sim_end,
-        tick_s=tick_s,
-        job_cpu=job_cpu,
-    )
-    assert scalar_arm["decisions"] == arms["predictive"]["decisions"], (
-        "batched TR placement diverged from the scalar reference path"
-    )
-    result.notes["batch_scalar_placements_identical"] = True
 
     pred, blind = arms["predictive"], arms["blind"]
     result.notes["useful_rate_predictive"] = round(pred["useful_work_rate"], 4)

@@ -369,16 +369,47 @@ def _unreachable_hint(args: argparse.Namespace, host: str, port: int) -> str:
     )
 
 
+def _on_target(
+    args: argparse.Namespace,
+    use,
+    *,
+    target: tuple[str, int] | None = None,
+    retries: int = 0,
+):
+    """``(use(client), 0)`` over a fresh connection to the command's target.
+
+    ``target`` defaults to the one the flags name.  Returns ``(None, 2)``
+    when the flags do not name exactly one target, and ``(None, 1)``,
+    after printing "cannot reach" and the hint, when the target refuses
+    the connection or drops it mid-request.
+    """
+    from repro.serve.client import ServeClient
+
+    if target is None:
+        target = _resolve_query_target(args)
+        if target is None:
+            return None, 2
+    host, port = target
+    try:
+        with ServeClient(
+            host, port, timeout=args.connect_timeout, retries=retries
+        ) as client:
+            return use(client), 0
+    except OSError as exc:
+        print(f"cannot reach {host}:{port}: {exc}", file=sys.stderr)
+        print(_unreachable_hint(args, host, port), file=sys.stderr)
+        return None, 1
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.serve.client import ServeClient, _trace_params
+    from repro.serve.client import _trace_params
     from repro.serve.protocol import STATUS_OK
 
     target = _resolve_query_target(args)
     if target is None:
         return 2
-    host, port = target
     params: dict[str, object] = {}
     if args.op in ("predict", "predict_batch", "fleet_scan", "rank",
                    "select", "horizon"):
@@ -414,25 +445,18 @@ def _cmd_query(args: argparse.Namespace) -> int:
         from repro.obs import TraceContext
 
         trace_ctx = TraceContext.new_root()
-    try:
-        with ServeClient(
-            host, port, timeout=args.connect_timeout, retries=args.retries
-        ) as client:
-            if trace_ctx is not None:
-                from repro.obs import use_context
 
-                with use_context(trace_ctx):
-                    response = client.request(
-                        args.op, params, deadline_ms=args.deadline_ms
-                    )
-            else:
-                response = client.request(
-                    args.op, params, deadline_ms=args.deadline_ms
-                )
-    except OSError as exc:
-        print(f"cannot reach {host}:{port}: {exc}", file=sys.stderr)
-        print(_unreachable_hint(args, host, port), file=sys.stderr)
-        return 1
+    def send(client):
+        if trace_ctx is None:
+            return client.request(args.op, params, deadline_ms=args.deadline_ms)
+        from repro.obs import use_context
+
+        with use_context(trace_ctx):
+            return client.request(args.op, params, deadline_ms=args.deadline_ms)
+
+    response, rc = _on_target(args, send, target=target, retries=args.retries)
+    if response is None:
+        return rc
     if trace_ctx is not None:
         from repro.obs import get_recorder
 
@@ -816,19 +840,16 @@ def _print_quality(quality: dict) -> None:
             )
 
 
-def _fetch_quality(args: argparse.Namespace, host: str, port: int) -> dict | None:
-    from repro.serve.client import ServeClient, ServeRequestError
+def _fetch(args: argparse.Namespace, target: tuple[str, int], ask) -> dict | None:
+    """One report from the target, or None after printing why not."""
+    from repro.serve.client import ServeRequestError
 
     try:
-        with ServeClient(host, port, timeout=args.connect_timeout) as client:
-            return client.quality(machine=args.machine)
-    except OSError as exc:
-        print(f"cannot reach {host}:{port}: {exc}", file=sys.stderr)
-        print(_unreachable_hint(args, host, port), file=sys.stderr)
-        return None
+        return _on_target(args, ask, target=target)[0]
     except ServeRequestError as exc:
         # A draining/overloaded server answers, but not with a report —
         # to a watcher that is the same as the target disappearing.
+        host, port = target
         print(f"server at {host}:{port} refused the request: {exc}",
               file=sys.stderr)
         print(_unreachable_hint(args, host, port), file=sys.stderr)
@@ -841,7 +862,7 @@ def _cmd_audit_report(args: argparse.Namespace) -> int:
     target = _resolve_query_target(args)
     if target is None:
         return 2
-    quality = _fetch_quality(args, *target)
+    quality = _fetch(args, target, lambda c: c.quality(machine=args.machine))
     if quality is None:
         return 1
     if args.json:
@@ -860,7 +881,7 @@ def _cmd_audit_watch(args: argparse.Namespace) -> int:
     for tick in range(args.count):
         if tick:
             time.sleep(args.interval)
-        quality = _fetch_quality(args, *target)
+        quality = _fetch(args, target, lambda c: c.quality(machine=args.machine))
         if quality is None:
             return 1
         if not quality.get("enabled"):
@@ -918,23 +939,6 @@ def _cmd_audit_resolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fetch_adapt_status(args: argparse.Namespace, host: str, port: int) -> dict | None:
-    from repro.serve.client import ServeClient, ServeRequestError
-
-    try:
-        with ServeClient(host, port, timeout=args.connect_timeout) as client:
-            return client.adapt_status(machine=args.machine)
-    except OSError as exc:
-        print(f"cannot reach {host}:{port}: {exc}", file=sys.stderr)
-        print(_unreachable_hint(args, host, port), file=sys.stderr)
-        return None
-    except ServeRequestError as exc:
-        print(f"server at {host}:{port} refused the request: {exc}",
-              file=sys.stderr)
-        print(_unreachable_hint(args, host, port), file=sys.stderr)
-        return None
-
-
 def _print_adapt_status(status: dict) -> None:
     print(
         f"adapt: auto={'on' if status.get('auto') else 'off'}  "
@@ -968,7 +972,7 @@ def _cmd_adapt_status(args: argparse.Namespace) -> int:
     target = _resolve_query_target(args)
     if target is None:
         return 2
-    status = _fetch_adapt_status(args, *target)
+    status = _fetch(args, target, lambda c: c.adapt_status(machine=args.machine))
     if status is None:
         return 1
     if args.json:
@@ -989,7 +993,7 @@ def _cmd_adapt_watch(args: argparse.Namespace) -> int:
     for tick in range(args.count):
         if tick:
             time.sleep(args.interval)
-        status = _fetch_adapt_status(args, *target)
+        status = _fetch(args, target, lambda c: c.adapt_status(machine=args.machine))
         if status is None:
             return 1
         if not status.get("enabled"):
@@ -1013,22 +1017,15 @@ def _cmd_adapt_watch(args: argparse.Namespace) -> int:
 def _cmd_adapt_retune(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.serve.client import ServeClient, ServeRequestError
+    from repro.serve.client import ServeRequestError
 
-    target = _resolve_query_target(args)
-    if target is None:
-        return 2
-    host, port = target
     try:
-        with ServeClient(host, port, timeout=args.connect_timeout) as client:
-            summary = client.adapt_retune(args.machine)
-    except OSError as exc:
-        print(f"cannot reach {host}:{port}: {exc}", file=sys.stderr)
-        print(_unreachable_hint(args, host, port), file=sys.stderr)
-        return 1
+        summary, rc = _on_target(args, lambda c: c.adapt_retune(args.machine))
     except ServeRequestError as exc:
         print(f"retune failed: {exc}", file=sys.stderr)
         return 1
+    if summary is None:
+        return rc
     if args.json:
         print(_json.dumps(summary, indent=2))
         return 0
@@ -1053,22 +1050,17 @@ def _cmd_adapt_retune(args: argparse.Namespace) -> int:
 def _cmd_adapt_promote(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.serve.client import ServeClient, ServeRequestError
+    from repro.serve.client import ServeRequestError
 
-    target = _resolve_query_target(args)
-    if target is None:
-        return 2
-    host, port = target
     try:
-        with ServeClient(host, port, timeout=args.connect_timeout) as client:
-            result = client.adapt_promote(args.machine, force=args.force)
-    except OSError as exc:
-        print(f"cannot reach {host}:{port}: {exc}", file=sys.stderr)
-        print(_unreachable_hint(args, host, port), file=sys.stderr)
-        return 1
+        result, rc = _on_target(
+            args, lambda c: c.adapt_promote(args.machine, force=args.force)
+        )
     except ServeRequestError as exc:
         print(f"promote failed: {exc}", file=sys.stderr)
         return 1
+    if result is None:
+        return rc
     if args.json:
         print(_json.dumps(result, indent=2))
         return 0 if result.get("promoted") else 1
@@ -1085,22 +1077,6 @@ def _cmd_adapt_promote(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return 1
-
-
-def _sched_client(args: argparse.Namespace):
-    """Connected ServeClient for the sched subcommands (or None + rc 1/2)."""
-    from repro.serve.client import ServeClient
-
-    target = _resolve_query_target(args)
-    if target is None:
-        return None, 2
-    host, port = target
-    try:
-        return ServeClient(host, port, timeout=args.connect_timeout), 0
-    except OSError as exc:
-        print(f"cannot reach {host}:{port}: {exc}", file=sys.stderr)
-        print(_unreachable_hint(args, host, port), file=sys.stderr)
-        return None, 1
 
 
 def _print_job(job: dict) -> None:
@@ -1130,17 +1106,18 @@ def _print_job(job: dict) -> None:
 def _cmd_sched_submit(args: argparse.Namespace) -> int:
     import json as _json
 
-    client, rc = _sched_client(args)
-    if client is None:
-        return rc
-    with client:
-        result = client.submit(
+    result, rc = _on_target(
+        args,
+        lambda client: client.submit(
             args.job,
             args.cpu_seconds,
             cpu=args.cpu,
             mem_mb=args.mem_mb,
             checkpoint_interval_s=args.checkpoint_interval,
-        )
+        ),
+    )
+    if result is None:
+        return rc
     print(_json.dumps(result, indent=2))
     record = result.get("record", {})
     return 0 if record.get("state") not in (None, "failed") else 1
@@ -1149,18 +1126,18 @@ def _cmd_sched_submit(args: argparse.Namespace) -> int:
 def _cmd_sched_status(args: argparse.Namespace) -> int:
     import json as _json
 
-    client, rc = _sched_client(args)
-    if client is None:
+    result, rc = _on_target(
+        args,
+        lambda client: client.job_status(args.job) if args.job else client.jobs(),
+    )
+    if result is None:
         return rc
-    with client:
-        if args.job:
-            result = client.job_status(args.job)
-            if args.json:
-                print(_json.dumps(result, indent=2))
-            else:
-                _print_job(result)
-            return 0
-        result = client.jobs()
+    if args.job:
+        if args.json:
+            print(_json.dumps(result, indent=2))
+        else:
+            _print_job(result)
+        return 0
     if args.json:
         print(_json.dumps(result, indent=2))
         return 0
@@ -1181,11 +1158,8 @@ def _cmd_sched_watch(args: argparse.Namespace) -> int:
     """Poll the job list until every job is terminal (or count runs out)."""
     from repro.sched import TERMINAL_STATES
 
-    client, rc = _sched_client(args)
-    if client is None:
-        return rc
-    open_jobs: list = []
-    with client:
+    def poll(client) -> int:
+        open_jobs: list = []
         for tick in range(args.count):
             if tick:
                 time.sleep(args.interval)
@@ -1206,22 +1180,25 @@ def _cmd_sched_watch(args: argparse.Namespace) -> int:
             if jobs and not open_jobs:
                 print("all jobs terminal")
                 return 0
-    print(f"{len(open_jobs)} jobs still open after {args.count} polls",
-          file=sys.stderr)
-    return 1
+        print(f"{len(open_jobs)} jobs still open after {args.count} polls",
+              file=sys.stderr)
+        return 1
+
+    status, rc = _on_target(args, poll)
+    return rc if status is None else status
 
 
 def _cmd_sched_drain(args: argparse.Namespace) -> int:
     import json as _json
 
-    client, rc = _sched_client(args)
-    if client is None:
+    response, rc = _on_target(
+        args,
+        lambda client: client.request(
+            "replace", {"machines": list(args.machines), "reason": args.reason}
+        ),
+    )
+    if response is None:
         return rc
-    with client:
-        response = client.request(
-            "replace",
-            {"machines": list(args.machines), "reason": args.reason},
-        )
     print(_json.dumps(response.to_wire(), indent=2))
     from repro.serve.protocol import STATUS_OK
 
@@ -1233,12 +1210,10 @@ def _cmd_ingest_agent(args: argparse.Namespace) -> int:
 
     from repro.ingest.agent import AgentConfig, MonitorAgent, SimulatedClock
     from repro.ingest.samplers import MissingDependencyError, make_sampler
-    from repro.serve.client import ServeClient
 
     target = _resolve_query_target(args)
     if target is None:
         return 2
-    host, port = target
     sampler_kind = args.sampler
     if args.simulate_days and sampler_kind == "auto":
         # Simulated time makes a real host sampler meaningless (it would
@@ -1272,29 +1247,28 @@ def _cmd_ingest_agent(args: argparse.Namespace) -> int:
 
     for sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(sig, _stop)
-    try:
-        with ServeClient(
-            host, port, timeout=args.connect_timeout, retries=args.retries
-        ) as client:
-            agent = MonitorAgent(sampler, client, config, clock=tick, sleep=sleeper)
-            print(
-                f"[agent {args.machine}: sampler {sampler.kind}, "
-                f"period {args.period:g}s, chunk {args.chunk}, "
-                f"target {host}:{port}"
-                + (f", spill {args.spill_dir}" if args.spill_dir else "")
-                + "]",
-                flush=True,
-            )
-            produced = agent.run(
-                max_samples=args.samples,
-                duration_s=duration,
-                stop=lambda: stopping,
-            )
-            status = agent.status()
-    except OSError as exc:
-        print(f"cannot reach {host}:{port}: {exc}", file=sys.stderr)
-        print(_unreachable_hint(args, host, port), file=sys.stderr)
-        return 1
+
+    def run(client):
+        agent = MonitorAgent(sampler, client, config, clock=tick, sleep=sleeper)
+        print(
+            f"[agent {args.machine}: sampler {sampler.kind}, "
+            f"period {args.period:g}s, chunk {args.chunk}, "
+            f"target {target[0]}:{target[1]}"
+            + (f", spill {args.spill_dir}" if args.spill_dir else "")
+            + "]",
+            flush=True,
+        )
+        produced = agent.run(
+            max_samples=args.samples,
+            duration_s=duration,
+            stop=lambda: stopping,
+        )
+        return produced, agent.status()
+
+    outcome, rc = _on_target(args, run, target=target, retries=args.retries)
+    if outcome is None:
+        return rc
+    produced, status = outcome
     print(
         f"[agent stopped: {produced} samples generated, "
         f"{status['acked']} acked, {status['unacked']} unacked, "
@@ -1314,25 +1288,6 @@ def _cmd_ingest_import(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    client = None
-    if not args.out:
-        target = _resolve_query_target(args)
-        if target is None:
-            print(
-                "hint: give a server target to register the imported traces, "
-                "or --out DIR to write them as a traceset instead",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.serve.client import ServeClient
-
-        host, port = target
-        try:
-            client = ServeClient(host, port, timeout=args.connect_timeout)
-        except OSError as exc:
-            print(f"cannot reach {host}:{port}: {exc}", file=sys.stderr)
-            print(_unreachable_hint(args, host, port), file=sys.stderr)
-            return 1
     kwargs: dict[str, object] = {
         "sample_period": args.period,
         "machine_id": args.machine,
@@ -1343,11 +1298,12 @@ def _cmd_ingest_import(args: argparse.Namespace) -> int:
         if args.native_period:
             kwargs["native_period"] = args.native_period
     all_traces = []
-    try:
+
+    def import_files(client) -> int:
         for path in args.files:
             try:
                 traces, stats = convert(path, **kwargs)
-            except (ValueError, FileNotFoundError) as exc:
+            except (ValueError, OSError) as exc:
                 print(f"import failed: {exc}", file=sys.stderr)
                 return 1
             all_traces.extend(traces)
@@ -1362,37 +1318,38 @@ def _cmd_ingest_import(args: argparse.Namespace) -> int:
                 else:
                     print(f"  converted {trace.machine_id}: "
                           f"{trace.n_samples} samples")
-    finally:
-        if client is not None:
-            client.close()
-    if args.out:
-        from repro.traces.io import save_traceset
-        from repro.traces.trace import TraceSet
+        return 0
 
-        testbed = TraceSet()
-        for trace in all_traces:
-            testbed.add(trace)
-        save_traceset(testbed, args.out)
-        print(f"[{len(testbed)} machine traces written to {args.out}/]")
+    if not args.out:
+        target = _resolve_query_target(args)
+        if target is None:
+            print(
+                "hint: give a server target to register the imported traces, "
+                "or --out DIR to write them as a traceset instead",
+                file=sys.stderr,
+            )
+            return 2
+        status, rc = _on_target(args, import_files, target=target)
+        return rc if status is None else status
+    if import_files(None):
+        return 1
+    from repro.traces.io import save_traceset
+    from repro.traces.trace import TraceSet
+
+    testbed = TraceSet()
+    for trace in all_traces:
+        testbed.add(trace)
+    save_traceset(testbed, args.out)
+    print(f"[{len(testbed)} machine traces written to {args.out}/]")
     return 0
 
 
 def _cmd_ingest_tail(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.serve.client import ServeClient
-
-    target = _resolve_query_target(args)
-    if target is None:
-        return 2
-    host, port = target
-    try:
-        with ServeClient(host, port, timeout=args.connect_timeout) as client:
-            result = client.tail(args.machine, n=args.n)
-    except OSError as exc:
-        print(f"cannot reach {host}:{port}: {exc}", file=sys.stderr)
-        print(_unreachable_hint(args, host, port), file=sys.stderr)
-        return 1
+    result, rc = _on_target(args, lambda client: client.tail(args.machine, n=args.n))
+    if result is None:
+        return rc
     if args.json:
         print(_json.dumps(result, indent=2))
         return 0
@@ -1411,6 +1368,22 @@ def _cmd_ingest_tail(args: argparse.Namespace) -> int:
             f"{'up' if s['up'] else 'DN':>3}"
         )
     return 0
+
+
+def _target_args(
+    p: argparse.ArgumentParser,
+    *,
+    cluster_help: str = "read the router address from a cluster spec JSON",
+) -> None:
+    """The flags naming the server or cluster a client command talks to."""
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--port", type=int, default=0,
+                   help="server (or cluster router) port")
+    p.add_argument("--port-file",
+                   help="read the port from this file (as written by "
+                   "'repro-fgcs serve --port-file' or 'cluster start')")
+    p.add_argument("--cluster", metavar="SPEC", help=cluster_help)
+    p.add_argument("--connect-timeout", type=float, default=10.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1517,15 +1490,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("predict", "predict_batch", "fleet_scan", "rank",
                                 "select", "horizon", "health",
                                 "register", "extend", "quality", "adapt_status"))
-    query.add_argument("--host", default="127.0.0.1")
-    query.add_argument("--port", type=int, default=0,
-                       help="server (or cluster router) port")
-    query.add_argument("--port-file",
-                       help="read the port from this file (as written by "
-                       "'repro-fgcs serve --port-file' or 'cluster start')")
-    query.add_argument("--cluster", metavar="SPEC",
-                       help="read the router address from a cluster spec JSON "
-                       "(as written by 'repro-fgcs cluster start')")
+    _target_args(query, cluster_help="read the router address from a cluster "
+                 "spec JSON (as written by 'repro-fgcs cluster start')")
     query.add_argument("--machine", help="machine id (predict/horizon)")
     query.add_argument("--machines", nargs="+", metavar="ID", default=None,
                        help="restrict predict_batch/fleet_scan to these "
@@ -1547,7 +1513,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TR threshold for horizon")
     query.add_argument("--deadline-ms", type=float, default=None,
                        help="per-request deadline in ms")
-    query.add_argument("--connect-timeout", type=float, default=10.0)
     query.add_argument("--traced", action="store_true",
                        help="attach a fresh trace context to the request and "
                        "export the client-side spans")
@@ -1642,22 +1607,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     asub = audit.add_subparsers(dest="audit_op", required=True)
 
-    def _audit_target_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--host", default="127.0.0.1")
-        p.add_argument("--port", type=int, default=0,
-                       help="server (or cluster router) port")
-        p.add_argument("--port-file",
-                       help="read the port from this file (as written by "
-                       "'repro-fgcs serve --port-file' or 'cluster start')")
-        p.add_argument("--cluster", metavar="SPEC",
-                       help="read the router address from a cluster spec JSON")
-        p.add_argument("--machine", help="restrict the report to one machine")
-        p.add_argument("--connect-timeout", type=float, default=10.0)
-
     areport = asub.add_parser(
         "report", help="fetch and render the quality scoreboard"
     )
-    _audit_target_args(areport)
+    _target_args(areport)
+    areport.add_argument("--machine", help="restrict the report to one machine")
     areport.add_argument("--json", action="store_true",
                          help="print the raw quality result as JSON")
     areport.set_defaults(func=_cmd_audit_report)
@@ -1665,7 +1619,8 @@ def build_parser() -> argparse.ArgumentParser:
     awatch = asub.add_parser(
         "watch", help="poll the scoreboard, one summary line per tick"
     )
-    _audit_target_args(awatch)
+    _target_args(awatch)
+    awatch.add_argument("--machine", help="restrict the report to one machine")
     awatch.add_argument("--interval", type=float, default=2.0,
                         help="seconds between polls (default: 2)")
     awatch.add_argument("--count", type=int, default=30,
@@ -1692,21 +1647,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     adsub = adapt.add_subparsers(dest="adapt_op", required=True)
 
-    def _adapt_target_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--host", default="127.0.0.1")
-        p.add_argument("--port", type=int, default=0,
-                       help="server (or cluster router) port")
-        p.add_argument("--port-file",
-                       help="read the port from this file (as written by "
-                       "'repro-fgcs serve --port-file' or 'cluster start')")
-        p.add_argument("--cluster", metavar="SPEC",
-                       help="read the router address from a cluster spec JSON")
-        p.add_argument("--connect-timeout", type=float, default=10.0)
-
     adstatus = adsub.add_parser(
         "status", help="show retunes, trials and promotions per machine"
     )
-    _adapt_target_args(adstatus)
+    _target_args(adstatus)
     adstatus.add_argument("--machine", help="restrict to one machine")
     adstatus.add_argument("--json", action="store_true",
                           help="print the raw adapt_status result as JSON")
@@ -1715,7 +1659,7 @@ def build_parser() -> argparse.ArgumentParser:
     adwatch = adsub.add_parser(
         "watch", help="poll the adapt tier, one summary line per tick"
     )
-    _adapt_target_args(adwatch)
+    _target_args(adwatch)
     adwatch.add_argument("--machine", help="restrict to one machine")
     adwatch.add_argument("--interval", type=float, default=2.0,
                          help="seconds between polls (default: 2)")
@@ -1726,7 +1670,7 @@ def build_parser() -> argparse.ArgumentParser:
     adretune = adsub.add_parser(
         "retune", help="backtest candidate models for one machine now"
     )
-    _adapt_target_args(adretune)
+    _target_args(adretune)
     adretune.add_argument("--machine", required=True,
                           help="machine id to retune")
     adretune.add_argument("--json", action="store_true",
@@ -1736,7 +1680,7 @@ def build_parser() -> argparse.ArgumentParser:
     adpromote = adsub.add_parser(
         "promote", help="promote one machine's shadow challenger"
     )
-    _adapt_target_args(adpromote)
+    _target_args(adpromote)
     adpromote.add_argument("--machine", required=True,
                            help="machine id whose challenger to promote")
     adpromote.add_argument("--force", action="store_true",
@@ -1750,19 +1694,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ssub = sched.add_subparsers(dest="sched_op", required=True)
 
-    def _sched_target_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--host", default="127.0.0.1")
-        p.add_argument("--port", type=int, default=0,
-                       help="server (or cluster router) port")
-        p.add_argument("--port-file",
-                       help="read the port from this file (as written by "
-                       "'repro-fgcs serve --port-file' or 'cluster start')")
-        p.add_argument("--cluster", metavar="SPEC",
-                       help="read the router address from a cluster spec JSON")
-        p.add_argument("--connect-timeout", type=float, default=10.0)
-
     ssubmit = ssub.add_parser("submit", help="submit a job for placement")
-    _sched_target_args(ssubmit)
+    _target_args(ssubmit)
     ssubmit.add_argument("--job", required=True, help="job id (idempotent)")
     ssubmit.add_argument("--cpu-seconds", type=float, required=True,
                          help="total guest CPU-seconds the job needs")
@@ -1778,7 +1711,7 @@ def build_parser() -> argparse.ArgumentParser:
     sstatus = ssub.add_parser(
         "status", help="show one job (--job) or the whole job table"
     )
-    _sched_target_args(sstatus)
+    _target_args(sstatus)
     sstatus.add_argument("--job", help="restrict to one job id")
     sstatus.add_argument("--json", action="store_true",
                          help="print the raw result as JSON")
@@ -1787,7 +1720,7 @@ def build_parser() -> argparse.ArgumentParser:
     swatch = ssub.add_parser(
         "watch", help="poll the job table until every job is terminal"
     )
-    _sched_target_args(swatch)
+    _target_args(swatch)
     swatch.add_argument("--interval", type=float, default=2.0,
                         help="seconds between polls (default: 2)")
     swatch.add_argument("--count", type=int, default=30,
@@ -1799,7 +1732,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-place the jobs running on the given machines "
         "(checkpoint-migrate when cheaper than restart)",
     )
-    _sched_target_args(sdrain)
+    _target_args(sdrain)
     sdrain.add_argument("machines", nargs="+",
                         help="machine ids to drain jobs away from")
     sdrain.add_argument("--reason", default="drain",
@@ -1813,17 +1746,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     isub = ingest.add_subparsers(dest="ingest_op", required=True)
 
-    def _ingest_target_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--host", default="127.0.0.1")
-        p.add_argument("--port", type=int, default=0,
-                       help="server (or cluster router) port")
-        p.add_argument("--port-file",
-                       help="read the port from this file (as written by "
-                       "'repro-fgcs serve --port-file' or 'cluster start')")
-        p.add_argument("--cluster", metavar="SPEC",
-                       help="read the router address from a cluster spec JSON")
-        p.add_argument("--connect-timeout", type=float, default=10.0)
-
     import socket as _socket
 
     iagent = isub.add_parser(
@@ -1831,7 +1753,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the live host monitor: sample this machine onto the "
         "model grid and stream chunks through 'extend'",
     )
-    _ingest_target_args(iagent)
+    _target_args(iagent)
     iagent.add_argument("--machine", default=_socket.gethostname(),
                         help="machine id to report as (default: hostname)")
     iagent.add_argument("--period", type=float, default=6.0,
@@ -1877,7 +1799,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="convert a foreign trace file onto the model grid and "
         "register it (or write a traceset with --out)",
     )
-    _ingest_target_args(iimport)
+    _target_args(iimport)
     iimport.add_argument("files", nargs="+", help="foreign trace files")
     # Mirror of the repro.ingest.adapters registry, kept literal so
     # building the parser stays import-light.
@@ -1909,7 +1831,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tail",
         help="read back the last N samples the server holds for a machine",
     )
-    _ingest_target_args(itail)
+    _target_args(itail)
     itail.add_argument("--machine", required=True, help="machine id")
     itail.add_argument("-n", type=int, default=10,
                        help="samples to read (default: 10)")

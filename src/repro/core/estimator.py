@@ -12,6 +12,7 @@ kernel estimator of :mod:`repro.core.smp`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,7 +29,13 @@ from repro.core.states import State
 from repro.core.windows import AbsoluteWindow, ClockWindow, DayType
 from repro.traces.trace import MachineTrace
 
-__all__ = ["EstimatorConfig", "WindowedKernelEstimator", "HistoryWindowData"]
+__all__ = [
+    "DaySample",
+    "EstimatorConfig",
+    "WindowedKernelEstimator",
+    "pool_observations",
+    "typical_state",
+]
 
 
 @dataclass(frozen=True)
@@ -93,15 +100,6 @@ class EstimatorConfig:
             raise ValueError(f"step_multiple must be >= 1, got {self.step_multiple}")
 
 
-@dataclass(frozen=True)
-class HistoryWindowData:
-    """One history day's classified window (diagnostic output)."""
-
-    day: int
-    states: np.ndarray
-    lookback_steps: int
-
-
 def coarsen_states(states: np.ndarray, multiple: int) -> np.ndarray:
     """Downsample a state sequence by taking the max (most severe) state.
 
@@ -117,6 +115,26 @@ def coarsen_states(states: np.ndarray, multiple: int) -> np.ndarray:
     if n_full < n:
         out = np.concatenate([out, [states[n_full:].max()]])
     return out
+
+
+class DaySample(NamedTuple):
+    """What one history day contributes to a window's estimate."""
+
+    observations: list[VisitObservation]
+    start_state: State
+
+
+def pool_observations(samples: Iterable[DaySample]) -> list[VisitObservation]:
+    """The days' observations in one list, in day order."""
+    return [o for sample in samples for o in sample.observations]
+
+
+def typical_state(samples: Iterable[DaySample]) -> State:
+    """Most common start state of the days (ties to the lower state; S1 if none)."""
+    counts = np.zeros(6, dtype=np.int64)
+    for sample in samples:
+        counts[int(sample.start_state)] += 1
+    return State(int(np.argmax(counts[1:])) + 1)
 
 
 class WindowedKernelEstimator:
@@ -155,23 +173,40 @@ class WindowedKernelEstimator:
                     break
         return days
 
-    def history_windows(
+    def day_sample(self, trace: MachineTrace, clock: ClockWindow, day: int) -> DaySample:
+        """One history day's observations and start state: the per-day rule.
+
+        Classifies the clock window on ``day`` plus its lookback and
+        coarsens it to the step grid (the lookback trimmed to whole
+        steps so the window start stays on a step boundary).  Both
+        outputs come from that one coarse sequence: the sojourn
+        observations, and the state of coarse step 0 — the window's
+        first step, the same step :mod:`repro.core.empirical` and the
+        audit judge outcomes from.
+        """
+        cfg = self.config
+        lookback = cfg.lookback if cfg.lookback is not None else clock.duration
+        target = clock.on_day(day)
+        lb = min(lookback, max(0.0, target.start - trace.start_time))
+        lb_steps = int(round(lb / trace.sample_period))
+        view = trace.window_view(
+            AbsoluteWindow(target.start - lb_steps * trace.sample_period,
+                           target.duration + lb_steps * trace.sample_period)
+        )
+        states = self.classifier.classify_window(view)
+        mult = cfg.step_multiple
+        trim = lb_steps % mult
+        coarse = coarsen_states(states[trim:], mult)
+        coarse_lb = (lb_steps - trim) // mult
+        obs = collect_observations([coarse], lookback_steps=coarse_lb)
+        return DaySample(obs, State(int(coarse[coarse_lb])))
+
+    def day_samples(
         self, trace: MachineTrace, clock: ClockWindow, dtype: DayType
-    ) -> list[HistoryWindowData]:
-        """Classified state sequences (with lookback) per history day."""
-        lookback = self.config.lookback if self.config.lookback is not None else clock.duration
-        out: list[HistoryWindowData] = []
-        for day in self.history_days(trace, clock, dtype):
-            target = clock.on_day(day)
-            lb = min(lookback, max(0.0, target.start - trace.start_time))
-            lb_steps = int(round(lb / trace.sample_period))
-            view = trace.window_view(
-                AbsoluteWindow(target.start - lb_steps * trace.sample_period,
-                               target.duration + lb_steps * trace.sample_period)
-            )
-            states = self.classifier.classify_window(view)
-            out.append(HistoryWindowData(day=day, states=states, lookback_steps=lb_steps))
-        return out
+    ) -> list[DaySample]:
+        """:meth:`day_sample` of every eligible history day, most recent first."""
+        days = self.history_days(trace, clock, dtype)
+        return [self.day_sample(trace, clock, day) for day in days]
 
     # ------------------------------------------------------------------ #
 
@@ -179,16 +214,20 @@ class WindowedKernelEstimator:
         self, trace: MachineTrace, clock: ClockWindow, dtype: DayType
     ) -> list[VisitObservation]:
         """Pooled sojourn observations across the history windows."""
-        mult = self.config.step_multiple
-        obs: list[VisitObservation] = []
-        for hw in self.history_windows(trace, clock, dtype):
-            # Trim the lookback prefix to a whole number of coarse steps so
-            # the window start stays aligned after coarsening.
-            trim = hw.lookback_steps % mult
-            states = coarsen_states(hw.states[trim:], mult)
-            lb = (hw.lookback_steps - trim) // mult
-            obs.extend(collect_observations([states], lookback_steps=lb))
-        return obs
+        return pool_observations(self.day_samples(trace, clock, dtype))
+
+    def kernel_for(
+        self, trace: MachineTrace, clock: ClockWindow, obs: Sequence[VisitObservation]
+    ) -> SmpKernel:
+        """The kernel of pooled observations over the window's step grid."""
+        step = self.step(trace)
+        return kernel_from_observations(
+            obs,
+            win.n_steps(clock.duration, step),
+            step,
+            censoring=self.config.censoring,
+            laplace=self.config.laplace,
+        )
 
     def estimate(
         self,
@@ -201,39 +240,15 @@ class WindowedKernelEstimator:
         ``target`` may be an absolute window (its own day type is used) or
         a recurring clock window plus an explicit ``dtype``.
         """
-        if isinstance(target, AbsoluteWindow):
-            clock = target.clock_window()
-            dtype = dtype or target.day_type
-        else:
-            clock = target
-            if dtype is None:
-                raise ValueError("a ClockWindow target requires an explicit day type")
-        step = self.step(trace)
-        horizon = win.n_steps(clock.duration, step)
-        obs = self.observations(trace, clock, dtype)
-        return kernel_from_observations(
-            obs,
-            horizon,
-            step,
-            censoring=self.config.censoring,
-            laplace=self.config.laplace,
-        )
-
-    # ------------------------------------------------------------------ #
+        clock, dtype = win.resolve_window(target, dtype)
+        return self.kernel_for(trace, clock, self.observations(trace, clock, dtype))
 
     def typical_initial_state(
         self, trace: MachineTrace, clock: ClockWindow, dtype: DayType
     ) -> State:
-        """Most common state at the window's start time across history days.
+        """Most common window-start state across history days.
 
         Used when no live monitor reading is available for ``S_init``.
-        Falls back to S1 when no history day covers the start time.
+        Falls back to S1 when no history day covers the window.
         """
-        counts = np.zeros(6, dtype=np.int64)
-        for hw in self.history_windows(trace, clock, dtype):
-            idx = hw.lookback_steps
-            if idx < hw.states.shape[0]:
-                counts[int(hw.states[idx])] += 1
-        if counts.sum() == 0:
-            return State.S1
-        return State(int(np.argmax(counts[1:]) + 1))
+        return typical_state(self.day_samples(trace, clock, dtype))

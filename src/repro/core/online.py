@@ -10,8 +10,8 @@ history grows one day at a time.
 per-day sojourn observations of each (clock window, day type) — keyed
 by day index.  A query against a grown trace only classifies the *new*
 days; everything else is reused.  Results are exactly equal to the
-batch estimator's (verified by tests), because per-day observation
-extraction is deterministic given the trace.
+batch estimator's (verified by tests): both read each day through
+:meth:`~repro.core.estimator.WindowedKernelEstimator.day_sample`.
 
 Cache invalidation: an entry is keyed by ``(machine, clock, day type,
 day)``; re-synthesizing or replacing a trace object with different data
@@ -32,20 +32,17 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core import windows as win
 from repro.core.classifier import StateClassifier
-from repro.core.estimator import EstimatorConfig, WindowedKernelEstimator, coarsen_states
-from repro.core.smp import (
-    SmpKernel,
-    VisitObservation,
-    collect_observations,
-    kernel_from_observations,
-    temporal_reliability,
+from repro.core.estimator import (
+    DaySample,
+    EstimatorConfig,
+    WindowedKernelEstimator,
+    pool_observations,
+    typical_state,
 )
+from repro.core.smp import SmpKernel, temporal_reliability
 from repro.core.states import State
 from repro.core.windows import AbsoluteWindow, ClockWindow, DayType
 from repro.obs.instruments import instrument
@@ -61,12 +58,6 @@ def _clock_key(clock: ClockWindow) -> tuple[float, float]:
     # entry.  Floats hash fine and day-observation extraction is a pure
     # function of the exact (start, duration) pair.
     return (clock.start, clock.duration)
-
-
-@dataclass
-class _WindowCache:
-    per_day_obs: dict[int, list[VisitObservation]]
-    per_day_init: dict[int, int]
 
 
 class IncrementalPredictor:
@@ -90,7 +81,8 @@ class IncrementalPredictor:
             )
         self.estimator = WindowedKernelEstimator(classifier, config)
         self.max_cache_entries = max_cache_entries
-        self._caches: OrderedDict[tuple, _WindowCache] = OrderedDict()
+        # (machine, clock, day type) -> {day: DaySample}
+        self._caches: OrderedDict[tuple, dict[int, DaySample]] = OrderedDict()
         self._lock = threading.RLock()
         self.days_classified = 0
         self.days_reused = 0
@@ -126,53 +118,27 @@ class IncrementalPredictor:
 
     # ------------------------------------------------------------------ #
 
-    def _day_entry(
-        self, trace: MachineTrace, clock: ClockWindow, day: int
-    ) -> tuple[list[VisitObservation], int]:
-        """Observations and initial state for one history day (uncached)."""
-        cfg = self.estimator.config
-        lookback = cfg.lookback if cfg.lookback is not None else clock.duration
-        target = clock.on_day(day)
-        lb = min(lookback, max(0.0, target.start - trace.start_time))
-        lb_steps = int(round(lb / trace.sample_period))
-        view = trace.window_view(
-            AbsoluteWindow(
-                target.start - lb_steps * trace.sample_period,
-                target.duration + lb_steps * trace.sample_period,
-            )
-        )
-        states = self.estimator.classifier.classify_window(view)
-        mult = cfg.step_multiple
-        trim = lb_steps % mult
-        coarse = coarsen_states(states[trim:], mult)
-        coarse_lb = (lb_steps - trim) // mult
-        obs = collect_observations([coarse], lookback_steps=coarse_lb)
-        init = int(coarse[coarse_lb]) if coarse_lb < coarse.shape[0] else int(State.S1)
-        return obs, init
-
     def _cache_for(
         self, trace: MachineTrace, clock: ClockWindow, dtype: DayType
-    ) -> tuple[_WindowCache, list[int]]:
+    ) -> list[DaySample]:
+        """Every history day's sample, classifying only uncached days."""
         key = (trace.machine_id, _clock_key(clock), dtype)
         with self._lock:
             cache = self._caches.get(key)
             if cache is None:
-                cache = self._caches[key] = _WindowCache(
-                    per_day_obs={}, per_day_init={}
-                )
+                cache = self._caches[key] = {}
                 self._evict_lru(keep=key)
             else:
                 self._caches.move_to_end(key)
             days = self.estimator.history_days(trace, clock, dtype)
             hits = misses = 0
             for day in days:
-                if day in cache.per_day_obs:
+                if day in cache:
                     hits += 1
                     continue
-                obs, init = self._day_entry(trace, clock, day)
-                cache.per_day_obs[day] = obs
-                cache.per_day_init[day] = init
+                cache[day] = self.estimator.day_sample(trace, clock, day)
                 misses += 1
+            samples = [cache[day] for day in days]
             self.days_reused += hits
             self.days_classified += misses
         if hits:
@@ -183,7 +149,7 @@ class IncrementalPredictor:
         # Enrich the enclosing predict.query span (no-op when untraced):
         # cold windows show up as misses, warm ones as pure hits.
         annotate(cache_hits=hits, cache_misses=misses)
-        return cache, days
+        return samples
 
     def _evict_lru(self, *, keep: tuple) -> None:
         """Drop least-recently-used entries past the bound (lock held)."""
@@ -202,39 +168,25 @@ class IncrementalPredictor:
 
     # ------------------------------------------------------------------ #
 
-    def _kernel_from_cache(
-        self, trace: MachineTrace, clock: ClockWindow, cache: _WindowCache, days
-    ) -> SmpKernel:
-        obs = [o for day in days for o in cache.per_day_obs[day]]
-        step = self.estimator.step(trace)
-        horizon = win.n_steps(clock.duration, step)
-        cfg = self.estimator.config
-        return kernel_from_observations(
-            obs, horizon, step, censoring=cfg.censoring, laplace=cfg.laplace
-        )
-
-    @staticmethod
-    def _init_from_cache(cache: _WindowCache, days) -> State:
-        counts = np.zeros(6, dtype=np.int64)
-        for day in days:
-            counts[cache.per_day_init[day]] += 1
-        if counts.sum() == 0:
-            return State.S1
-        return State(int(np.argmax(counts[1:]) + 1))
+    def estimate(
+        self, trace: MachineTrace, clock: ClockWindow, dtype: DayType
+    ) -> tuple[SmpKernel, State]:
+        """Kernel and typical start state, from one pass over the day cache."""
+        samples = self._cache_for(trace, clock, dtype)
+        kernel = self.estimator.kernel_for(trace, clock, pool_observations(samples))
+        return kernel, typical_state(samples)
 
     def kernel(
         self, trace: MachineTrace, clock: ClockWindow, dtype: DayType
     ) -> SmpKernel:
         """Estimate the kernel, reusing cached per-day observations."""
-        cache, days = self._cache_for(trace, clock, dtype)
-        return self._kernel_from_cache(trace, clock, cache, days)
+        return self.estimate(trace, clock, dtype)[0]
 
     def typical_initial_state(
         self, trace: MachineTrace, clock: ClockWindow, dtype: DayType
     ) -> State:
         """Most common cached window-start state (matches the batch rule)."""
-        cache, days = self._cache_for(trace, clock, dtype)
-        return self._init_from_cache(cache, days)
+        return typical_state(self._cache_for(trace, clock, dtype))
 
     def predict(
         self,
@@ -245,18 +197,8 @@ class IncrementalPredictor:
     ) -> float:
         """Predict TR; identical semantics to the batch predictor."""
         t0 = time.perf_counter()
-        if isinstance(window, AbsoluteWindow):
-            clock = window.clock_window()
-            dtype = dtype or window.day_type
-        else:
-            clock = window
-            if dtype is None:
-                raise ValueError("a ClockWindow requires an explicit day type")
-        cache, days = self._cache_for(trace, clock, dtype)
-        kernel = self._kernel_from_cache(trace, clock, cache, days)
-        if init_state is None:
-            init_state = self._init_from_cache(cache, days)
-        tr = temporal_reliability(kernel, init_state)
+        kernel, typical = self.estimate(trace, *win.resolve_window(window, dtype))
+        tr = temporal_reliability(kernel, typical if init_state is None else init_state)
         instrument("tr_query_latency_seconds").labels(path="incremental").observe(
             time.perf_counter() - t0
         )

@@ -19,19 +19,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core import windows as win
 from repro.core.classifier import ClassifierConfig, StateClassifier
-from repro.core.estimator import EstimatorConfig, WindowedKernelEstimator
-from repro.core.smp import (
-    SmpKernel,
-    kernel_from_observations,
-    temporal_reliability,
-    temporal_reliability_profile,
+from repro.core.estimator import (
+    EstimatorConfig,
+    WindowedKernelEstimator,
+    pool_observations,
+    typical_state,
 )
+from repro.core.smp import SmpKernel, temporal_reliability, temporal_reliability_profile
 from repro.core.states import State
-from repro.core.windows import AbsoluteWindow, ClockWindow, DayType
+from repro.core.windows import AbsoluteWindow, ClockWindow, DayType, resolve_window
 from repro.obs.instruments import instrument
 
 __all__ = ["PredictionResult", "TemporalReliabilityPredictor", "max_reliable_horizon"]
@@ -90,17 +87,9 @@ class TemporalReliabilityPredictor:
 
     # ------------------------------------------------------------------ #
 
-    def _resolve(self, window, dtype: DayType | None) -> tuple[ClockWindow, DayType]:
-        if isinstance(window, AbsoluteWindow):
-            return window.clock_window(), (dtype or window.day_type)
-        if dtype is None:
-            raise ValueError("a ClockWindow requires an explicit day type")
-        return window, dtype
-
     def kernel(self, window, dtype: DayType | None = None) -> SmpKernel:
         """Estimate the SMP kernel for a window without solving it."""
-        clock, dt = self._resolve(window, dtype)
-        return self.estimator.estimate(self.history, clock, dt)
+        return self.estimator.estimate(self.history, window, dtype)
 
     def predict_detailed(
         self,
@@ -115,32 +104,24 @@ class TemporalReliabilityPredictor:
         start time across the history is used (the scheduler-side
         fallback).  A failure initial state yields TR = 0.
         """
-        clock, dt = self._resolve(window, dtype)
+        clock, dt = resolve_window(window, dtype)
         t0 = time.perf_counter()
-        obs = self.estimator.observations(self.history, clock, dt)
-        step = self.estimator.step(self.history)
-        horizon = win.n_steps(clock.duration, step)
-        kernel = kernel_from_observations(
-            obs,
-            horizon,
-            step,
-            censoring=self.estimator.config.censoring,
-            laplace=self.estimator.config.laplace,
-        )
-        t1 = time.perf_counter()
+        samples = self.estimator.day_samples(self.history, clock, dt)
+        obs = pool_observations(samples)
+        kernel = self.estimator.kernel_for(self.history, clock, obs)
         if init_state is None:
-            init_state = self.estimator.typical_initial_state(self.history, clock, dt)
+            init_state = typical_state(samples)
+        t1 = time.perf_counter()
         tr = temporal_reliability(kernel, init_state)
         t2 = time.perf_counter()
         instrument("tr_query_latency_seconds").labels(path="batch").observe(t2 - t0)
-        n_days = len(self.estimator.history_days(self.history, clock, dt))
         return PredictionResult(
             tr=tr,
             init_state=State(init_state),
-            n_history_days=n_days,
+            n_history_days=len(samples),
             n_observations=len(obs),
-            horizon=horizon,
-            step=step,
+            horizon=kernel.horizon,
+            step=kernel.step,
             estimation_seconds=t1 - t0,
             solve_seconds=t2 - t1,
         )
@@ -167,10 +148,11 @@ class TemporalReliabilityPredictor:
         one recursion answer every job length up to the window — see
         :func:`repro.core.smp.temporal_reliability_profile`.
         """
-        clock, dt = self._resolve(window, dtype)
-        kernel = self.estimator.estimate(self.history, clock, dt)
+        clock, dt = resolve_window(window, dtype)
+        samples = self.estimator.day_samples(self.history, clock, dt)
+        kernel = self.estimator.kernel_for(self.history, clock, pool_observations(samples))
         if init_state is None:
-            init_state = self.estimator.typical_initial_state(self.history, clock, dt)
+            init_state = typical_state(samples)
         return temporal_reliability_profile(kernel, init_state), kernel.step
 
 

@@ -402,25 +402,14 @@ def _kernel_km(obs: Sequence[VisitObservation], horizon: int, laplace: float) ->
 # ---------------------------------------------------------------------- #
 
 
-def failure_probabilities(kernel: SmpKernel, init_state: State | int) -> np.ndarray:
-    """Interval failure probabilities ``P_{init,j}(horizon)`` for j = 3,4,5.
+def _failure_paths(kernel: SmpKernel, init: int) -> np.ndarray:
+    """Unclipped ``P_{init,j}(m)`` for m = 0..horizon and j = 3,4,5.
 
-    Implements the sparse mutual recursion of paper Eq. 3.  Returns an
-    array ``[P_{init,3}, P_{init,4}, P_{init,5}]`` evaluated at the
-    kernel's horizon.  For a failure ``init_state`` the corresponding
-    entry is 1 (the process is already there) per the boundary condition
-    ``P_{i,j}(0) = delta_{ij}``.
+    The sparse mutual recursion of paper Eq. 3 for an operational
+    ``init`` (S1 or S2), as a ``(horizon + 1, 3)`` array.
     """
-    init = int(init_state)
-    n = kernel.horizon
-    if init in (3, 4, 5):
-        out = np.zeros(3)
-        out[init - 3] = 1.0
-        return out
-    if init not in (1, 2):
-        raise ValueError(f"init_state must be one of S1..S5, got {init_state!r}")
-
     t0 = time.perf_counter()
+    n = kernel.horizon
     k12 = kernel.slot(1, 2)
     k21 = kernel.slot(2, 1)
     # Direct-to-failure cumulative mass: C_i[j, m] = sum_{l<=m} K_{i,j}(l).
@@ -439,8 +428,27 @@ def failure_probabilities(kernel: SmpKernel, init_state: State | int) -> np.ndar
             conv1 = conv2 = 0.0
         p1[m] = c1[:, m] + conv1
         p2[m] = c2[:, m] + conv2
-    result = p1[n] if init == 1 else p2[n]
     instrument("smp_solve_seconds").observe(time.perf_counter() - t0)
+    return p1 if init == 1 else p2
+
+
+def failure_probabilities(kernel: SmpKernel, init_state: State | int) -> np.ndarray:
+    """Interval failure probabilities ``P_{init,j}(horizon)`` for j = 3,4,5.
+
+    Implements the sparse mutual recursion of paper Eq. 3.  Returns an
+    array ``[P_{init,3}, P_{init,4}, P_{init,5}]`` evaluated at the
+    kernel's horizon.  For a failure ``init_state`` the corresponding
+    entry is 1 (the process is already there) per the boundary condition
+    ``P_{i,j}(0) = delta_{ij}``.
+    """
+    init = int(init_state)
+    if init in (3, 4, 5):
+        out = np.zeros(3)
+        out[init - 3] = 1.0
+        return out
+    if init not in (1, 2):
+        raise ValueError(f"init_state must be one of S1..S5, got {init_state!r}")
+    result = _failure_paths(kernel, init)[kernel.horizon]
     # Probabilities of disjoint absorbing events; clip tiny FP excursions.
     return np.clip(result, 0.0, 1.0)
 
@@ -463,30 +471,13 @@ def temporal_reliability_profile(kernel: SmpKernel, init_state: State | int) -> 
     For a failure ``init_state`` the profile is 0 beyond m = 0.
     """
     init = int(init_state)
-    n = kernel.horizon
     if init in (3, 4, 5):
-        out = np.zeros(n + 1)
+        out = np.zeros(kernel.horizon + 1)
         out[0] = 1.0
         return out
     if init not in (1, 2):
         raise ValueError(f"init_state must be one of S1..S5, got {init_state!r}")
-    t0 = time.perf_counter()
-    k12 = kernel.slot(1, 2)
-    k21 = kernel.slot(2, 1)
-    c1 = np.cumsum(np.stack([kernel.slot(1, j) for j in _FAILURE_TARGETS]), axis=1)
-    c2 = np.cumsum(np.stack([kernel.slot(2, j) for j in _FAILURE_TARGETS]), axis=1)
-    p1 = np.zeros((n + 1, 3))
-    p2 = np.zeros((n + 1, 3))
-    for m in range(1, n + 1):
-        if m > 1:
-            conv1 = k12[1:m] @ p2[m - 1 : 0 : -1]
-            conv2 = k21[1:m] @ p1[m - 1 : 0 : -1]
-        else:
-            conv1 = conv2 = 0.0
-        p1[m] = c1[:, m] + conv1
-        p2[m] = c2[:, m] + conv2
-    fail = (p1 if init == 1 else p2).sum(axis=1)
-    instrument("smp_solve_seconds").observe(time.perf_counter() - t0)
+    fail = _failure_paths(kernel, init).sum(axis=1)
     return np.clip(1.0 - fail, 0.0, 1.0)
 
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import windows as win
-from repro.core.estimator import WindowedKernelEstimator, coarsen_states
-from repro.core.smp import collect_observations, kernel_from_observations, temporal_reliability
+from repro.core.estimator import WindowedKernelEstimator, pool_observations, typical_state
+from repro.core.smp import temporal_reliability
 from repro.core.states import State
 from repro.core.windows import ClockWindow, DayType
 from repro.traces.trace import MachineTrace
@@ -81,34 +80,16 @@ def bootstrap_tr(
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
 
-    history = estimator.history_windows(trace, clock, dtype)
-    if not history:
+    # Classify each history day once; every resample reuses the samples.
+    per_day = estimator.day_samples(trace, clock, dtype)
+    if not per_day:
         raise ValueError(f"trace has no eligible {dtype} history days for this window")
-    mult = estimator.config.step_multiple
-    step = estimator.step(trace)
-    horizon = win.n_steps(clock.duration, step)
-
-    # Pre-compute per-day observation lists once; bootstrap reuses them.
-    per_day = []
-    for hw in history:
-        trim = hw.lookback_steps % mult
-        states = coarsen_states(hw.states[trim:], mult)
-        lb = (hw.lookback_steps - trim) // mult
-        per_day.append(collect_observations([states], lookback_steps=lb))
-
     if init_state is None:
-        init_state = estimator.typical_initial_state(trace, clock, dtype)
+        init_state = typical_state(per_day)
 
     def tr_from(day_indices) -> float:
-        obs = [o for i in day_indices for o in per_day[i]]
-        kernel = kernel_from_observations(
-            obs,
-            horizon,
-            step,
-            censoring=estimator.config.censoring,
-            laplace=estimator.config.laplace,
-        )
-        return temporal_reliability(kernel, init_state)
+        obs = pool_observations(per_day[i] for i in day_indices)
+        return temporal_reliability(estimator.kernel_for(trace, clock, obs), init_state)
 
     n_days = len(per_day)
     point = tr_from(range(n_days))

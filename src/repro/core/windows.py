@@ -38,6 +38,7 @@ __all__ = [
     "days_of_type",
     "ClockWindow",
     "AbsoluteWindow",
+    "resolve_window",
     "n_steps",
 ]
 
@@ -208,6 +209,21 @@ class AbsoluteWindow:
                 yield d
                 found += 1
             d -= 1
+
+
+def resolve_window(
+    window: ClockWindow | AbsoluteWindow, dtype: DayType | None = None
+) -> tuple[ClockWindow, DayType]:
+    """The recurring clock window and day type a query targets.
+
+    An absolute window brings its own day type (an explicit ``dtype``
+    overrides it); a clock window needs an explicit one.
+    """
+    if isinstance(window, AbsoluteWindow):
+        return window.clock_window(), dtype or window.day_type
+    if dtype is None:
+        raise ValueError("a ClockWindow requires an explicit day type")
+    return window, dtype
 
 
 def n_steps(duration: float, step: float) -> int:

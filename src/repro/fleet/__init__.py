@@ -17,14 +17,7 @@ The serving tier exposes this as the ``predict_batch`` and
 scoring ride the same path.
 """
 
-from repro.fleet.kernel import (
-    FleetKernel,
-    FleetSolution,
-    fleet_failure_probabilities,
-    fleet_reliability_profiles,
-    fleet_temporal_reliability,
-    solve_fleet,
-)
+from repro.fleet.kernel import FleetKernel, FleetSolution, solve_fleet
 from repro.fleet.predictor import FleetPredictor, FleetScan
 
 __all__ = [
@@ -32,8 +25,5 @@ __all__ = [
     "FleetSolution",
     "FleetPredictor",
     "FleetScan",
-    "fleet_failure_probabilities",
-    "fleet_reliability_profiles",
-    "fleet_temporal_reliability",
     "solve_fleet",
 ]

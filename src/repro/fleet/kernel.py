@@ -50,14 +50,7 @@ import numpy as np
 from repro.core.smp import SLOT_INDEX, SLOTS, SmpKernel
 from repro.obs.instruments import instrument
 
-__all__ = [
-    "FleetKernel",
-    "FleetSolution",
-    "solve_fleet",
-    "fleet_failure_probabilities",
-    "fleet_temporal_reliability",
-    "fleet_reliability_profiles",
-]
+__all__ = ["FleetKernel", "FleetSolution", "solve_fleet"]
 
 #: Failure-target column order, matching core.smp: S3, S4, S5.
 _FAILURE_TARGETS = (3, 4, 5)
@@ -239,18 +232,3 @@ def solve_fleet(fleet: FleetKernel, init_states) -> FleetSolution:
     tr = np.clip(1.0 - fail.sum(axis=1), 0.0, 1.0)
     instrument("fleet_solve_seconds").observe(time.perf_counter() - t0)
     return FleetSolution(fail=fail, tr=tr, profiles=profiles)
-
-
-def fleet_failure_probabilities(fleet: FleetKernel, init_states) -> np.ndarray:
-    """``(M, 3)`` clipped failure probabilities at each machine's horizon."""
-    return solve_fleet(fleet, init_states).fail
-
-
-def fleet_temporal_reliability(fleet: FleetKernel, init_states) -> np.ndarray:
-    """``(M,)`` temporal reliabilities, one batched solve."""
-    return solve_fleet(fleet, init_states).tr
-
-
-def fleet_reliability_profiles(fleet: FleetKernel, init_states) -> np.ndarray:
-    """``(M, max_horizon + 1)`` TR-by-sub-horizon profiles."""
-    return solve_fleet(fleet, init_states).profiles

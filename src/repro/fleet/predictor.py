@@ -155,13 +155,7 @@ class FleetPredictor:
         Unknown machines raise ``KeyError`` like the scalar path.
         """
         t0 = time.perf_counter()
-        if isinstance(window, AbsoluteWindow):
-            clock = window.clock_window()
-            dtype = dtype or window.day_type
-        else:
-            clock = window
-            if dtype is None:
-                raise ValueError("a ClockWindow requires an explicit day type")
+        clock, dtype = win.resolve_window(window, dtype)
         histories = self._service._histories
         if machines is None:
             ids = sorted(histories)
@@ -197,10 +191,10 @@ class FleetPredictor:
                     # Per-machine lookup: a promoted override must feed its
                     # own kernel into the fleet tensor (set_model_config
                     # invalidates the stale row to force this rebuild).
-                    predictor = self._service.predictor_for(mid)
-                    kernel = predictor.kernel(trace, clock, dtype)
-                    init = int(predictor.typical_initial_state(trace, clock, dtype))
-                    entry.rows[mid] = (trace.n_samples, kernel, init)
+                    kernel, init = self._service.predictor_for(mid).estimate(
+                        trace, clock, dtype
+                    )
+                    entry.rows[mid] = (trace.n_samples, kernel, int(init))
                     rebuilt += 1
                 cached = entry.scan
                 if rebuilt == 0 and cached is not None and cached.machine_ids == tuple(ids):

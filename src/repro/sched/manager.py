@@ -95,12 +95,8 @@ class SchedConfig:
     #: Floor on the TR prediction window (very short remaining work
     #: still asks about a meaningful horizon).
     min_window_s: float = 60.0
-    #: TR assumed for a machine whose prediction fails (no history yet).
+    #: TR assumed for every candidate when the batched prediction fails.
     fallback_tr: float = 0.5
-    #: Score candidates with one batched ``predict_batch`` call instead
-    #: of N scalar predicts (False keeps the scalar reference path; the
-    #: bench asserts both arms place jobs identically).
-    batch_predict: bool = True
     costs: RecoveryCosts = RecoveryCosts()
 
     def __post_init__(self) -> None:
@@ -265,30 +261,19 @@ class JobManager:
     # placement
     # ------------------------------------------------------------------ #
 
-    def _tr(self, machine: str, window: AbsoluteWindow) -> float:
-        try:
-            return float(self.service.predict(machine, window))
-        except Exception:
-            return self.config.fallback_tr
-
     def _trs(self, machines: list[str], window: AbsoluteWindow) -> dict[str, float]:
-        """TR per machine: one batched fleet solve, or the scalar loop.
+        """TR per machine from one ``predict_batch`` call (one fleet solve).
 
-        The batched path answers every machine from a single stacked
-        kernel pass (``AvailabilityService.predict_batch``); services
-        without it (bench fakes, old deployments) and any batch failure
-        fall back to per-machine scalar predicts, so placement never
-        degrades below the scalar behaviour.
+        If the call raises, every candidate is scored ``fallback_tr``, so
+        placement still proceeds on packing alone.
         """
-        if machines and self.config.batch_predict:
-            batch = getattr(self.service, "predict_batch", None)
-            if batch is not None:
-                try:
-                    trs = batch(list(machines), window)
-                    return {m: float(trs[m]) for m in machines}
-                except Exception:
-                    pass
-        return {m: self._tr(m, window) for m in machines}
+        if not machines:
+            return {}
+        try:
+            trs = self.service.predict_batch(list(machines), window)
+            return {m: float(trs[m]) for m in machines}
+        except Exception:
+            return dict.fromkeys(machines, self.config.fallback_tr)
 
     def _candidates(self, job: JobRecord, now: float) -> list[Candidate]:
         cfg = self.config

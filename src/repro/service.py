@@ -34,7 +34,7 @@ from repro.core.predictor import max_reliable_horizon
 from repro.core.smp import temporal_reliability_profile
 from repro.core.states import State
 from repro.core.uncertainty import TrInterval, bootstrap_tr
-from repro.core.windows import AbsoluteWindow, ClockWindow, DayType
+from repro.core.windows import AbsoluteWindow, ClockWindow, DayType, resolve_window
 from repro.fleet.predictor import FleetPredictor, FleetScan
 from repro.obs.events import get_event_log
 from repro.obs.instruments import instrument
@@ -107,8 +107,7 @@ class AvailabilityService:
         if self.store is not None and persist:
             self.store.replace(history)
         if history.machine_id in self._histories:
-            self._predictor.invalidate(history.machine_id)
-            self._fleet.invalidate(history.machine_id)
+            self._invalidate(history.machine_id)
             get_event_log().emit(
                 "machine_replaced",
                 severity="warning",
@@ -140,34 +139,40 @@ class AvailabilityService:
                 "extend_history requires a trace that grows the existing one; "
                 "use register() to replace it"
             )
-        # Cheap prefix spot-check: the kept per-day caches are only valid
-        # if the overlapping samples are actually unchanged.  Comparing
-        # the first and last overlapping samples catches the common
-        # mistakes (re-synthesized trace, shifted data) without an O(n)
-        # array comparison on every extension.
-        for idx in (0, old.n_samples - 1):
-            if (
-                abs(old.load[idx] - history.load[idx]) > 1e-12
-                or abs(old.free_mem_mb[idx] - history.free_mem_mb[idx]) > 1e-9
-                or bool(old.up[idx]) != bool(history.up[idx])
-            ):
-                raise ValueError(
-                    f"extend_history: new trace for {history.machine_id!r} is "
-                    f"not a prefix-extension of the existing history (sample "
-                    f"{idx} differs); use register() to replace the history "
-                    "and invalidate its caches"
-                )
-        if self.store is not None and persist and history.n_samples > old.n_samples:
-            suffix = MachineTrace(
+        # The kept per-day caches are only valid if every overlapping
+        # sample is unchanged.
+        n = old.n_samples
+        differs = (
+            (np.abs(old.load - history.load[:n]) > 1e-12)
+            | (np.abs(old.free_mem_mb - history.free_mem_mb[:n]) > 1e-9)
+            | (old.up != history.up[:n])
+        )
+        if differs.any():
+            raise ValueError(
+                f"extend_history: new trace for {history.machine_id!r} is "
+                f"not a prefix-extension of the existing history (sample "
+                f"{int(np.argmax(differs))} differs); use register() to replace "
+                "the history and invalidate its caches"
+            )
+        tail = None
+        if history.n_samples > n:
+            tail = MachineTrace(
                 machine_id=history.machine_id,
                 start_time=old.end_time,
                 sample_period=history.sample_period,
-                load=history.load[old.n_samples :],
-                free_mem_mb=history.free_mem_mb[old.n_samples :],
-                up=history.up[old.n_samples :],
+                load=history.load[n:],
+                free_mem_mb=history.free_mem_mb[n:],
+                up=history.up[n:],
             )
-            self.store.append(history.machine_id, suffix)
-        self._histories[history.machine_id] = history
+        self._grow(history, tail, persist=persist)
+
+    def _grow(
+        self, grown: MachineTrace, tail: MachineTrace | None, *, persist: bool
+    ) -> None:
+        """Install a grown history, appending its new ``tail`` to the store first."""
+        if self.store is not None and persist and tail is not None:
+            self.store.append(grown.machine_id, tail)
+        self._histories[grown.machine_id] = grown
 
     def append_samples(self, chunk: MachineTrace) -> MachineTrace:
         """Grow a machine's history by a chunk of newly monitored samples.
@@ -212,16 +217,16 @@ class AvailabilityService:
             free_mem_mb=chunk.free_mem_mb[skip:],
             up=chunk.up[skip:],
         )
+        # Built from the registered history, so no prefix check is needed.
         grown = old.concat(tail)
-        self.extend_history(grown)
+        self._grow(grown, tail, persist=True)
         return grown
 
     def unregister(self, machine_id: str) -> None:
         """Remove a machine and its caches."""
         del self._histories[machine_id]
         self._overrides.pop(machine_id, None)
-        self._predictor.invalidate(machine_id)
-        self._fleet.invalidate(machine_id)
+        self._invalidate(machine_id)
         instrument("service_registered_machines").set(len(self._histories))
 
     # ------------------------------------------------------------------ #
@@ -251,7 +256,7 @@ class AvailabilityService:
 
         With both arguments ``None`` the machine reverts to the shared
         default model.  Every call invalidates the machine's incremental
-        day cache and its fleet kernel rows: fleet rows are fingerprinted
+        day caches and its fleet kernel rows: fleet rows are fingerprinted
         by history length only, so a config change *must* drop them here
         or scans would keep serving the old hyperparameters.
         """
@@ -263,7 +268,19 @@ class AvailabilityService:
                 estimator_config or self.config,
                 max_cache_entries=self._max_cache_entries,
             )
+        self._invalidate(machine_id)
+
+    def _invalidate(self, machine_id: str) -> None:
+        """Drop every cache derived from one machine's history or model.
+
+        That is the shared default predictor's day cache, the machine's
+        override predictor's day cache (if it has one) and its fleet
+        kernel rows.
+        """
         self._predictor.invalidate(machine_id)
+        override = self._overrides.get(machine_id)
+        if override is not None:
+            override.invalidate(machine_id)
         self._fleet.invalidate(machine_id)
 
     @property
@@ -311,27 +328,11 @@ class AvailabilityService:
         return tr
 
     def predict_all(
-        self,
-        window: ClockWindow | AbsoluteWindow,
-        dtype: DayType | None = None,
-        *,
-        batch: bool = True,
+        self, window: ClockWindow | AbsoluteWindow, dtype: DayType | None = None
     ) -> dict[str, float]:
-        """TR of every registered machine over one window.
-
-        The default path stacks the fleet and solves once
-        (:meth:`fleet_scan`); ``batch=False`` keeps the legacy N-scalar
-        loop, retained as the reference the batched path is benched and
-        property-tested against.
-        """
+        """TR of every registered machine over one window, in one batched solve."""
         instrument("service_query_fanout_machines").observe(len(self._histories))
-        if batch:
-            return self.fleet_scan(window, dtype).trs()
-        # Snapshot the id list so a concurrent register() (the serving
-        # tier runs queries on worker threads) cannot break iteration.
-        return {
-            mid: self.predict(mid, window, dtype) for mid in list(self._histories)
-        }
+        return self.fleet_scan(window, dtype).trs()
 
     def predict_batch(
         self,
@@ -416,15 +417,7 @@ class AvailabilityService:
         threshold.
         """
         history = self._history(machine_id)
-        if isinstance(start, AbsoluteWindow):
-            clock = start.clock_window()
-            dtype = dtype or start.day_type
-        else:
-            clock = start
-            if dtype is None:
-                raise ValueError("a ClockWindow requires an explicit day type")
-        predictor = self.predictor_for(machine_id)
-        kernel = predictor.kernel(history, clock, dtype)
-        init = predictor.typical_initial_state(history, clock, dtype)
+        clock, dtype = resolve_window(start, dtype)
+        kernel, init = self.predictor_for(machine_id).estimate(history, clock, dtype)
         profile = temporal_reliability_profile(kernel, init)
         return max_reliable_horizon(profile, kernel.step, tr_threshold)

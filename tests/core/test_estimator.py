@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.classifier import StateClassifier
 from repro.core.estimator import EstimatorConfig, WindowedKernelEstimator, coarsen_states
+from repro.core.smp import VisitObservation
 from repro.core.states import State
 from repro.core.windows import SECONDS_PER_DAY, ClockWindow, DayType
 from repro.traces.trace import MachineTrace
@@ -99,19 +100,38 @@ class TestHistorySelection:
         assert 7 not in days
         assert 4 in days  # Friday 22:00 -> Saturday 02:00 is still in-trace
 
-    def test_history_windows_have_lookback(self):
+    def test_day_samples_have_lookback(self):
+        # One idle visit per day, measured from the lookback start: its
+        # holding spans the 60-sample lookback plus the 60-sample window.
         est = WindowedKernelEstimator(config=EstimatorConfig(lookback=3600.0))
         trace = flat_trace(n_days=7, period=60.0)
-        hws = est.history_windows(trace, ClockWindow.from_hours(8, 1), DayType.WEEKDAY)
-        assert all(hw.lookback_steps == 60 for hw in hws)
-        assert all(hw.states.shape[0] == 60 + 60 for hw in hws)
+        samples = est.day_samples(trace, ClockWindow.from_hours(8, 1), DayType.WEEKDAY)
+        assert len(samples) == 5
+        for sample in samples:
+            assert sample.observations == [VisitObservation(1, 60 + 60, None)]
+            assert sample.start_state is State.S1
 
     def test_lookback_clipped_at_trace_start(self):
         est = WindowedKernelEstimator(config=EstimatorConfig(lookback=7200.0))
         trace = flat_trace(n_days=7, period=60.0)
-        hws = est.history_windows(trace, ClockWindow.from_hours(1, 1), DayType.WEEKDAY)
-        day0 = [hw for hw in hws if hw.day == 0][0]
-        assert day0.lookback_steps == 60  # only 1 h exists before 01:00 on day 0
+        cw = ClockWindow.from_hours(1, 1)
+        # Only 1 h exists before 01:00 on day 0; later days get the full 2 h.
+        assert est.day_sample(trace, cw, 0).observations == [
+            VisitObservation(1, 60 + 60, None)
+        ]
+        assert est.day_sample(trace, cw, 1).observations == [
+            VisitObservation(1, 120 + 60, None)
+        ]
+
+    def test_lookback_trimmed_to_whole_steps(self):
+        # 7 lookback samples at step_multiple 5: one whole coarse step of
+        # lookback survives, so the window start stays on a step boundary.
+        est = WindowedKernelEstimator(
+            config=EstimatorConfig(lookback=420.0, step_multiple=5)
+        )
+        trace = flat_trace(n_days=7, period=60.0)
+        sample = est.day_sample(trace, ClockWindow.from_hours(8, 1), 1)
+        assert sample.observations == [VisitObservation(1, 1 + 12, None)]
 
 
 class TestEstimation:
@@ -185,6 +205,18 @@ class TestTypicalInitialState:
         trace = flat_trace(load=0.45)
         s = est.typical_initial_state(trace, ClockWindow.from_hours(8, 1), DayType.WEEKDAY)
         assert s is State.S2
+
+    def test_start_state_is_coarse_step_zero(self):
+        # Idle except the second sample of every 08:00 window: the raw
+        # first sample is S1, but the first coarse step at step_multiple
+        # 5 is its most severe sample, S2.
+        trace = flat_trace(load=0.05)
+        trace.load[int(8 * 3600 / 60) + 1 :: int(SECONDS_PER_DAY / 60)] = 0.45
+        cw = ClockWindow.from_hours(8, 1)
+        fine = WindowedKernelEstimator()
+        coarse = WindowedKernelEstimator(config=EstimatorConfig(step_multiple=5))
+        assert fine.typical_initial_state(trace, cw, DayType.WEEKDAY) is State.S1
+        assert coarse.typical_initial_state(trace, cw, DayType.WEEKDAY) is State.S2
 
     def test_no_history_falls_back_to_s1(self):
         est = WindowedKernelEstimator()

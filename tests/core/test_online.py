@@ -7,6 +7,7 @@ from repro.core.estimator import EstimatorConfig
 from repro.core.online import IncrementalPredictor
 from repro.core.predictor import TemporalReliabilityPredictor
 from repro.core.windows import ClockWindow, DayType
+from repro.service import AvailabilityService
 
 
 @pytest.fixture()
@@ -47,6 +48,53 @@ class TestEquivalenceWithBatch:
             assert incremental.typical_initial_state(
                 long_trace, cw, DayType.WEEKDAY
             ) is batch.estimator.typical_initial_state(long_trace, cw, DayType.WEEKDAY)
+
+    @pytest.mark.parametrize("step_multiple", [1, 5, 10])
+    def test_every_path_agrees_on_testbed(self, testbed, step_multiple):
+        """Serving, fleet, paper and bootstrap paths: one answer per key."""
+        config = EstimatorConfig(step_multiple=step_multiple)
+        service = AvailabilityService(estimator_config=config)
+        paper = {}
+        for trace in testbed:
+            service.register(trace)
+            paper[trace.machine_id] = TemporalReliabilityPredictor(
+                trace, estimator_config=config
+            )
+        tr_diff, fleet_diff, init_diff, point_diff = [], [], [], []
+        n_keys = n_points = 0
+        for h in range(0, 24, 2):
+            for hours in (1, 3):
+                cw = ClockWindow.from_hours(h, hours)
+                for dtype in (DayType.WEEKDAY, DayType.WEEKEND):
+                    scan = service.fleet_scan(cw, dtype)
+                    for mid, pred in paper.items():
+                        key = (mid, h, hours, dtype.value)
+                        n_keys += 1
+                        tr = service.predict(mid, cw, dtype)
+                        detail = pred.predict_detailed(cw, dtype)
+                        if abs(tr - detail.tr) > 1e-12:
+                            tr_diff.append(key)
+                        if abs(scan.trs()[mid] - tr) > 1e-9:
+                            fleet_diff.append(key)
+                        served = service.predictor_for(mid).typical_initial_state(
+                            testbed[mid], cw, dtype
+                        )
+                        if not (
+                            served is detail.init_state
+                            and scan.init_states[scan.index(mid)] == int(served)
+                        ):
+                            init_diff.append(key)
+                        if h % 6 == 0:
+                            n_points += 1
+                            iv = service.interval(mid, cw, dtype, n_resamples=1)
+                            if abs(iv.point - tr) > 1e-12:
+                                point_diff.append(key)
+        assert not tr_diff, f"predict != paper TR on {len(tr_diff)}/{n_keys}: {tr_diff}"
+        assert not fleet_diff, f"fleet_scan != predict on {len(fleet_diff)}/{n_keys}"
+        assert not init_diff, f"start states differ on {len(init_diff)}/{n_keys}"
+        assert not point_diff, (
+            f"interval point != predict on {len(point_diff)}/{n_points}"
+        )
 
 
 class TestCaching:

@@ -10,13 +10,7 @@ from repro.core.smp import (
     temporal_reliability_profile,
 )
 from repro.core.states import State
-from repro.fleet import (
-    FleetKernel,
-    fleet_failure_probabilities,
-    fleet_reliability_profiles,
-    fleet_temporal_reliability,
-    solve_fleet,
-)
+from repro.fleet import FleetKernel, solve_fleet
 
 
 def random_kernel(rng, horizon, mass=0.8):
@@ -128,21 +122,6 @@ class TestSolveFleet:
             np.testing.assert_allclose(
                 solution.fail[i], failure_probabilities(kern, init), atol=1e-9
             )
-
-    def test_wrappers_return_the_solution_pieces(self, rng):
-        kernels = [random_kernel(rng, 6) for _ in range(2)]
-        fleet = FleetKernel(["a", "b"], kernels)
-        inits = [1, 2]
-        solution = solve_fleet(fleet, inits)
-        np.testing.assert_array_equal(
-            fleet_failure_probabilities(fleet, inits), solution.fail
-        )
-        np.testing.assert_array_equal(
-            fleet_temporal_reliability(fleet, inits), solution.tr
-        )
-        np.testing.assert_array_equal(
-            fleet_reliability_profiles(fleet, inits), solution.profiles
-        )
 
     def test_rejects_wrong_init_count(self, rng):
         fleet = FleetKernel(["a"], [random_kernel(rng, 4)])

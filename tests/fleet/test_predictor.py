@@ -26,6 +26,11 @@ def idle_trace(mid, n_days=14, period=60.0, fail_hour=None, start=0.0):
     return MachineTrace(mid, start, period, load, np.full(load.shape, 400.0))
 
 
+def scalar_loop(service):
+    """One scalar ``predict`` per machine: the reference for the batch path."""
+    return {m: service.predict(m, WINDOW, DayType.WEEKDAY) for m in service.machine_ids}
+
+
 @pytest.fixture()
 def service():
     svc = AvailabilityService(estimator_config=EstimatorConfig(step_multiple=5))
@@ -45,14 +50,14 @@ class TestFleetScanEquality:
 
     def test_predict_all_batch_equals_scalar_loop(self, service):
         batched = service.predict_all(WINDOW, DayType.WEEKDAY)
-        scalar = service.predict_all(WINDOW, DayType.WEEKDAY, batch=False)
+        scalar = scalar_loop(service)
         assert set(batched) == set(scalar)
         for mid, tr in scalar.items():
             assert batched[mid] == pytest.approx(tr, abs=1e-9)
 
     def test_rank_uses_batched_path_and_orders_identically(self, service):
         ranking = service.rank(WINDOW, DayType.WEEKDAY)
-        scalar = service.predict_all(WINDOW, DayType.WEEKDAY, batch=False)
+        scalar = scalar_loop(service)
         expected = sorted(scalar.items(), key=lambda kv: (-kv[1], kv[0]))
         assert [r.machine_id for r in ranking] == [m for m, _ in expected]
 

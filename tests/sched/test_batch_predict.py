@@ -1,10 +1,10 @@
 """The scheduler's batched TR path: one fleet solve per placement.
 
 Candidate scoring (and the re-placement best-TR sweep) asks the service
-for the whole pool in one ``predict_batch`` call when available, with a
-scalar-per-machine fallback for services (or fakes) without it — and
-for any batch failure.  Placement decisions must not depend on which
-path answered.
+for the whole pool in one ``predict_batch`` call.  If that call fails
+(or the service has no batch op), every candidate is scored
+``fallback_tr`` and placement still proceeds.  Placement decisions must
+not depend on whether the batched or the scalar solver answered.
 """
 
 import numpy as np
@@ -76,27 +76,22 @@ class TestBatchPath:
 
     def test_scalar_only_service_falls_back(self, clock):
         svc = ScalarOnlyService({"good": 0.9, "bad": 0.3})
-        m = mk_manager(svc, clock)
+        m = mk_manager(svc, clock, fallback_tr=0.4)
         out = m.submit("j1", total_cpu_seconds=100.0, cpu=0.5)
         assert out["record"]["state"] == STATE_PLACED
-        assert out["record"]["machine"] == "good"
-        assert svc.scalar_calls == 2
+        assert svc.scalar_calls == 0
+        window = AbsoluteWindow(0.0, 100.0)
+        assert m._trs(["good", "bad"], window) == {"good": 0.4, "bad": 0.4}
 
-    def test_batch_failure_falls_back_to_scalar(self, clock):
+    def test_batch_failure_scores_every_candidate_with_fallback_tr(self, clock):
         svc = FailingBatchService({"good": 0.9, "bad": 0.3})
-        m = mk_manager(svc, clock)
+        m = mk_manager(svc, clock, fallback_tr=0.4)
         out = m.submit("j1", total_cpu_seconds=100.0, cpu=0.5)
-        assert out["record"]["machine"] == "good"
+        assert out["record"]["state"] == STATE_PLACED
         assert svc.batch_calls == 1
-        assert svc.scalar_calls == 2
-
-    def test_batch_predict_false_stays_scalar(self, clock):
-        svc = CountingBatchService({"good": 0.9, "bad": 0.3})
-        m = mk_manager(svc, clock, batch_predict=False)
-        out = m.submit("j1", total_cpu_seconds=100.0, cpu=0.5)
-        assert out["record"]["machine"] == "good"
-        assert svc.batch_calls == 0
-        assert svc.scalar_calls == 2
+        assert svc.scalar_calls == 0
+        window = AbsoluteWindow(0.0, 100.0)
+        assert m._trs(["good", "bad"], window) == {"good": 0.4, "bad": 0.4}
 
     def test_replace_best_tr_uses_batch(self, clock):
         svc = CountingBatchService({"a": 0.9, "b": 0.8, "c": 0.2})
@@ -118,9 +113,23 @@ def idle_trace(mid, n_days=10, period=60.0, fail_hour=None):
     return MachineTrace(mid, 0.0, period, load, np.full(load.shape, 400.0))
 
 
+class ScalarBackedService:
+    """A real service whose ``predict_batch`` is N scalar ``predict`` calls."""
+
+    def __init__(self, service):
+        self.service = service
+
+    @property
+    def machine_ids(self):
+        return self.service.machine_ids
+
+    def predict_batch(self, machines, window):
+        return {m: self.service.predict(m, window) for m in machines}
+
+
 class TestRealServiceIdentity:
     def test_placements_identical_batch_vs_scalar(self):
-        """Same jobs, real service: both TR paths place identically."""
+        """Same jobs, real service: both TR solvers place identically."""
         records = {}
         for batch in (True, False):
             svc = AvailabilityService(
@@ -130,8 +139,7 @@ class TestRealServiceIdentity:
                 svc.register(idle_trace(f"m{i}", fail_hour=8.0 + i))
             clock = [7.0 * SECONDS_PER_DAY + 9 * 3600.0]
             m = JobManager(
-                svc,
-                config=SchedConfig(batch_predict=batch),
+                svc if batch else ScalarBackedService(svc),
                 clock=lambda: clock[0],
                 node="test",
             )

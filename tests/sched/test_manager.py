@@ -30,9 +30,9 @@ class FakeService:
     def machine_ids(self):
         return list(self.trs)
 
-    def predict(self, machine, window):
+    def predict_batch(self, machines, window):
         assert isinstance(window, AbsoluteWindow)
-        return self.trs[machine]
+        return {m: self.trs[m] for m in machines}
 
 
 @pytest.fixture()

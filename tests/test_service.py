@@ -54,6 +54,28 @@ class TestRegistry:
         after = service.predict("safe", WINDOW, DayType.WEEKDAY)
         assert after < before
 
+    def test_reregister_invalidates_override_caches(self):
+        # A promoted override keeps its own day cache; replacing the
+        # history must drop it, or predict and fleet_scan (whose rows are
+        # rebuilt from that cache) keep serving the old history.
+        override = EstimatorConfig(step_multiple=10, history_days=5)
+        svc = AvailabilityService()
+        svc.register(idle_trace("m"))
+        svc.set_model_config("m", estimator_config=override)
+        svc.predict("m", WINDOW, DayType.WEEKDAY)
+        svc.fleet_scan(WINDOW, DayType.WEEKDAY)
+        replacement = idle_trace("m", fail_hour=9.0)
+        svc.register(replacement)
+        fresh = AvailabilityService()
+        fresh.register(replacement)
+        fresh.set_model_config("m", estimator_config=override)
+        expected = fresh.predict("m", WINDOW, DayType.WEEKDAY)
+        assert expected < 0.99
+        assert svc.predict("m", WINDOW, DayType.WEEKDAY) == expected
+        assert svc.fleet_scan(WINDOW, DayType.WEEKDAY).trs()["m"] == pytest.approx(
+            expected, abs=1e-9
+        )
+
     def test_reregister_emits_machine_replaced_event(self, service):
         from repro.obs.events import scoped_event_log
         from repro.obs.metrics import scoped_registry
@@ -106,6 +128,14 @@ class TestRegistry:
         )
         with pytest.raises(ValueError, match="not a prefix-extension"):
             service.extend_history(impostor)
+
+    def test_extend_history_rejects_changed_interior_sample(self, service):
+        grown = idle_trace("safe", n_days=21)
+        idx = 3 * 1440 + 9 * 60  # 09:00 on day 3, well inside the overlap
+        grown.load[idx] = 0.95
+        with pytest.raises(ValueError, match=f"sample {idx} differs"):
+            service.extend_history(grown)
+        assert service.predict("safe", WINDOW, DayType.WEEKDAY) == pytest.approx(1.0)
 
     def test_extend_history_rejects_changed_tail_sample(self, service):
         grown = idle_trace("safe", n_days=21)
