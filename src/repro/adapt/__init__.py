@@ -19,8 +19,8 @@ them.  The control loop, per machine:
    paper's empirical baseline instead of the SMP value, so users never
    see worse-than-baseline TRs during retuning.
 5. **Promote** — :class:`AdaptController` installs the challenger via
-   ``AvailabilityService.set_model_config`` (which invalidates the
-   incremental and fleet kernel caches) and resets the machine's
+   ``AvailabilityService.set_model_config`` (a fresh per-machine
+   predictor with its own kernel rows) and resets the machine's
    Page–Hinkley state so post-recovery data is not judged against
    pre-shift statistics.
 

@@ -15,8 +15,8 @@ audit.  The dispatcher calls
 
 Everything is per machine and thread-safe (the dispatcher calls in from
 worker threads).  Promotions go through
-``AvailabilityService.set_model_config``, which invalidates the
-machine's incremental day cache and fleet kernel rows, and through
+``AvailabilityService.set_model_config``, which installs a fresh
+per-machine predictor with its own kernel rows, and through
 ``DriftDetector.reset_machine``, so the new model starts with a clean
 drift slate.
 """

@@ -166,8 +166,12 @@ class WindowedKernelEstimator:
         days: list[int] = []
         limit = self.config.history_days
         pool = trace.days(dtype) if self.config.day_type_split else trace.days(None)
+        # trace.covers(clock.on_day(d)) without building a window per day:
+        # every kernel-row read runs this, once per machine in a fleet scan.
+        lo, hi = trace.start_time - 1e-9, trace.end_time + 1e-9
         for d in reversed(pool):
-            if trace.covers(clock.on_day(d)):
+            start = win.day_start(d) + clock.start
+            if start >= lo and start + clock.duration <= hi:
                 days.append(d)
                 if limit is not None and len(days) >= limit:
                     break

@@ -1,23 +1,22 @@
-"""Incrementally maintained fleet tensors over a service's registry.
+"""Whole-registry fleet scans over a service's kernel rows.
 
 :class:`FleetPredictor` sits between :class:`~repro.service.AvailabilityService`
 and the batched solver: for a query window it stacks every requested
-machine's kernel into one :class:`~repro.fleet.kernel.FleetKernel`,
-solves the whole fleet in one pass, and memoizes at two levels:
+machine's kernel row into one :class:`~repro.fleet.kernel.FleetKernel`
+and solves the whole fleet in one pass.  It keeps no kernel state of its
+own.  Each row comes from the machine's serving
+:class:`~repro.core.online.IncrementalPredictor` (``predictor_for``), the
+same row ``predict`` and ``reliable_horizon`` read, so a row is rebuilt
+only when the machine's eligible history days change, and the scalar and
+fleet paths warm each other.
 
-* **per-machine rows** — ``(n_samples fingerprint, kernel, init state)``
-  per (window, machine).  A machine whose history has not grown since
-  the last scan reuses its kernel; ingesting new samples changes
-  ``n_samples`` and rebuilds just that row (through the service's
-  :class:`~repro.core.online.IncrementalPredictor`, so only *new days*
-  are re-classified).
-* **whole scans** — if no row changed and the machine set is identical,
-  the previous :class:`FleetScan` is returned as-is; a steady-state
-  rank/select costs only the fingerprint sweep.
-
-Replacing a history out-of-band (``register`` over an existing id) can
-leave ``n_samples`` unchanged, so the service calls :meth:`invalidate`
-on replace/unregister, mirroring the scalar predictor's contract.
+Whole-registry scans are memoized per (window, day type) under the
+service's registry *generation*, an integer the service advances after
+every change to its histories or model overrides.  A scan reads the
+generation before it gathers rows, so a scan that races a write records
+an older generation and the next scan misses; a memo is never served
+stale.  Subset scans (scheduler candidate pools vary per job) are not
+memoized.
 """
 
 from __future__ import annotations
@@ -25,14 +24,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.core import windows as win
-from repro.core.smp import SmpKernel
 from repro.core.windows import AbsoluteWindow, ClockWindow, DayType
 from repro.fleet.kernel import FleetKernel, solve_fleet
 from repro.obs.instruments import instrument
@@ -94,50 +92,23 @@ class FleetScan:
         return float(self.profiles[i, m])
 
 
-@dataclass
-class _FleetWindow:
-    """Cache state for one (clock window, day type)."""
-
-    rows: dict[str, tuple[int, SmpKernel, int]] = field(default_factory=dict)
-    scan: FleetScan | None = None
-
-
-def _clock_key(clock: ClockWindow, dtype: DayType) -> tuple:
-    return (clock.start, clock.duration, dtype)
+#: Whole-registry scans memoized at once, one per (clock window, day type).
+MAX_WINDOWS = 8
 
 
 class FleetPredictor:
-    """Builds, caches and incrementally refreshes stacked fleet scans."""
+    """Stacks kernel rows into fleet scans and memoizes whole-registry scans."""
 
-    def __init__(
-        self, service: "AvailabilityService", *, max_windows: int = 8
-    ) -> None:
-        if max_windows < 1:
-            raise ValueError(f"max_windows must be positive, got {max_windows}")
+    def __init__(self, service: "AvailabilityService") -> None:
         self._service = service
-        self.max_windows = max_windows
-        self._windows: OrderedDict[tuple, _FleetWindow] = OrderedDict()
-        self._lock = threading.RLock()
-
-    def invalidate(self, machine_id: str | None = None) -> None:
-        """Drop cached rows and scans (for one machine, or all).
-
-        Any cached whole-fleet scan that includes the machine is stale,
-        so scans are dropped unconditionally; other machines keep their
-        kernel rows.
-        """
-        with self._lock:
-            for entry in self._windows.values():
-                if machine_id is None:
-                    entry.rows.clear()
-                else:
-                    entry.rows.pop(machine_id, None)
-                entry.scan = None
+        # (start, duration, day type) -> (registry generation, scan)
+        self._scans: OrderedDict[tuple, tuple[int, FleetScan]] = OrderedDict()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        """Number of cached (window, day-type) entries."""
+        """Number of memoized (window, day-type) scans."""
         with self._lock:
-            return len(self._windows)
+            return len(self._scans)
 
     # ------------------------------------------------------------------ #
 
@@ -151,16 +122,20 @@ class FleetPredictor:
         """Solve (or reuse) the fleet tensor for one query window.
 
         ``machines`` restricts the scan (results come back in sorted id
-        order regardless); ``None`` scans every registered machine.
+        order regardless, each machine once); ``None`` scans every
+        registered machine.
         Unknown machines raise ``KeyError`` like the scalar path.
         """
         t0 = time.perf_counter()
         clock, dtype = win.resolve_window(window, dtype)
+        # Read before gathering rows: a scan racing a registry write then
+        # memoizes under the older generation, so the next scan misses.
+        generation = self._service._generation
         histories = self._service._histories
         if machines is None:
             ids = sorted(histories)
         else:
-            ids = sorted(str(m) for m in machines)
+            ids = sorted({str(m) for m in machines})
             for mid in ids:
                 if mid not in histories:
                     raise KeyError(f"machine {mid!r} is not registered")
@@ -176,36 +151,22 @@ class FleetPredictor:
                 steps=np.zeros(0),
                 init_states=np.zeros(0, dtype=np.int64),
             )
+        key = (clock.start, clock.duration, dtype)
+        # Memoize whole-registry scans only: subset queries (scheduler
+        # candidate pools vary per job) would otherwise thrash the memo.
+        whole = len(ids) == len(histories)
         with start_span("fleet.scan", "fleet", machines=len(ids)) as span:
             with self._lock:
-                entry = self._entry(_clock_key(clock, dtype))
-                rebuilt = reused = 0
-                for mid in ids:
-                    trace = histories.get(mid)
-                    if trace is None:  # unregistered between snapshot and now
-                        raise KeyError(f"machine {mid!r} is not registered")
-                    row = entry.rows.get(mid)
-                    if row is not None and row[0] == trace.n_samples:
-                        reused += 1
-                        continue
-                    # Per-machine lookup: a promoted override must feed its
-                    # own kernel into the fleet tensor (set_model_config
-                    # invalidates the stale row to force this rebuild).
-                    kernel, init = self._service.predictor_for(mid).estimate(
-                        trace, clock, dtype
-                    )
-                    entry.rows[mid] = (trace.n_samples, kernel, int(init))
-                    rebuilt += 1
-                cached = entry.scan
-                if rebuilt == 0 and cached is not None and cached.machine_ids == tuple(ids):
-                    scan = cached
+                memo = self._scans.pop(key, None) if whole else None
+                if memo is not None and memo[0] == generation:
+                    scan, rebuilt = memo[1], 0
                 else:
-                    scan = self._solve(entry, ids, clock, dtype)
-                    # Cache whole-registry scans only: subset queries
-                    # (scheduler candidate pools vary per job) would
-                    # otherwise thrash the one scan slot.
-                    if machines is None or len(ids) == len(histories):
-                        entry.scan = scan
+                    scan, rebuilt = self._solve(ids, clock, dtype)
+                if whole:  # (re)inserted last: the most recently used
+                    self._scans[key] = (generation, scan)
+                    if len(self._scans) > MAX_WINDOWS:
+                        self._scans.popitem(last=False)
+            reused = len(ids) - rebuilt
             if span is not None:
                 span.set(rebuilt=rebuilt, reused=reused)
         if rebuilt:
@@ -218,26 +179,23 @@ class FleetPredictor:
 
     # ------------------------------------------------------------------ #
 
-    def _entry(self, key: tuple) -> _FleetWindow:
-        """Get-or-create one window's cache, LRU-bounding (lock held)."""
-        entry = self._windows.get(key)
-        if entry is None:
-            entry = self._windows[key] = _FleetWindow()
-            while len(self._windows) > self.max_windows:
-                oldest = next(iter(self._windows))
-                if oldest == key:
-                    self._windows.move_to_end(oldest)
-                    continue
-                del self._windows[oldest]
-        else:
-            self._windows.move_to_end(key)
-        return entry
-
     def _solve(
-        self, entry: _FleetWindow, ids: list[str], clock: ClockWindow, dtype: DayType
-    ) -> FleetScan:
-        kernels = [entry.rows[mid][1] for mid in ids]
-        inits = [entry.rows[mid][2] for mid in ids]
+        self, ids: list[str], clock: ClockWindow, dtype: DayType
+    ) -> tuple[FleetScan, int]:
+        """Stack the machines' kernel rows and solve; also counts rows built."""
+        histories = self._service._histories
+        kernels, inits, rebuilt = [], [], 0
+        for mid in ids:
+            trace = histories.get(mid)
+            if trace is None:  # unregistered between snapshot and now
+                raise KeyError(f"machine {mid!r} is not registered")
+            # Per-machine lookup: a promoted override feeds its own row.
+            kernel, init, built = self._service.predictor_for(mid).row(
+                trace, clock, dtype
+            )
+            kernels.append(kernel)
+            inits.append(int(init))
+            rebuilt += built
         fleet = FleetKernel(ids, kernels)
         solution = solve_fleet(fleet, inits)
         return FleetScan(
@@ -250,4 +208,4 @@ class FleetPredictor:
             horizons=fleet.horizons,
             steps=fleet.steps,
             init_states=np.asarray(inits, dtype=np.int64),
-        )
+        ), rebuilt

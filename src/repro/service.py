@@ -3,9 +3,9 @@
 This is the component a downstream system (a grid scheduler, a broker,
 an ops dashboard) would actually embed: one object that holds every
 machine's history, answers temporal-reliability queries efficiently
-(via the incremental per-day cache), and exposes the derived quantities
-schedulers act on — rankings, gang-survival, confidence intervals and
-reliable-horizon sizing.
+(via the incremental predictor's cached kernel rows), and exposes the
+derived quantities schedulers act on — rankings, gang-survival,
+confidence intervals and reliable-horizon sizing.
 
 ::
 
@@ -78,6 +78,12 @@ class AvailabilityService:
         # machines absent from this dict use the shared default predictor.
         self._overrides: dict[str, IncrementalPredictor] = {}
         self._fleet = FleetPredictor(self)
+        # Advanced after every change to _histories or _overrides is
+        # installed; whole-registry fleet scans are memoized under it.  An
+        # increment lost between two racing writers is harmless: both
+        # changes were installed before either write, so any scan that
+        # sees the new value also sees both changes.
+        self._generation = 0
 
     @classmethod
     def warm_start(cls, store: "TraceStore", **kwargs: object) -> "AvailabilityService":
@@ -98,7 +104,7 @@ class AvailabilityService:
     # ------------------------------------------------------------------ #
 
     def register(self, history: MachineTrace, *, persist: bool = True) -> None:
-        """Add a machine (or replace its history, invalidating caches).
+        """Add a machine (or replace its history, dropping its kernel rows).
 
         With a backing store, the history is made durable *before* the
         in-memory registry changes (pass ``persist=False`` only when the
@@ -115,6 +121,7 @@ class AvailabilityService:
                 n_samples=history.n_samples,
             )
         self._histories[history.machine_id] = history
+        self._generation += 1
         instrument("service_registered_machines").set(len(self._histories))
 
     def extend_history(self, history: MachineTrace, *, persist: bool = True) -> None:
@@ -173,6 +180,7 @@ class AvailabilityService:
         if self.store is not None and persist and tail is not None:
             self.store.append(grown.machine_id, tail)
         self._histories[grown.machine_id] = grown
+        self._generation += 1
 
     def append_samples(self, chunk: MachineTrace) -> MachineTrace:
         """Grow a machine's history by a chunk of newly monitored samples.
@@ -223,10 +231,11 @@ class AvailabilityService:
         return grown
 
     def unregister(self, machine_id: str) -> None:
-        """Remove a machine and its caches."""
+        """Remove a machine and its kernel rows."""
         del self._histories[machine_id]
         self._overrides.pop(machine_id, None)
         self._invalidate(machine_id)
+        self._generation += 1
         instrument("service_registered_machines").set(len(self._histories))
 
     # ------------------------------------------------------------------ #
@@ -255,10 +264,11 @@ class AvailabilityService:
         """Install (or clear) a per-machine model override.
 
         With both arguments ``None`` the machine reverts to the shared
-        default model.  Every call invalidates the machine's incremental
-        day caches and its fleet kernel rows: fleet rows are fingerprinted
-        by history length only, so a config change *must* drop them here
-        or scans would keep serving the old hyperparameters.
+        default model.  Nothing is invalidated: a predictor's config is
+        fixed, so an override is a fresh predictor whose rows start
+        empty, and a revert reads the default predictor's rows, which
+        are still checked against the machine's history days.  The
+        registry generation advances, so memoized fleet scans miss.
         """
         if estimator_config is None and classifier is None:
             self._overrides.pop(machine_id, None)
@@ -268,20 +278,19 @@ class AvailabilityService:
                 estimator_config or self.config,
                 max_cache_entries=self._max_cache_entries,
             )
-        self._invalidate(machine_id)
+        self._generation += 1
 
     def _invalidate(self, machine_id: str) -> None:
-        """Drop every cache derived from one machine's history or model.
+        """Drop one machine's kernel rows in the default and its override predictor.
 
-        That is the shared default predictor's day cache, the machine's
-        override predictor's day cache (if it has one) and its fleet
-        kernel rows.
+        Rows are checked only against the history's eligible days, so a
+        replaced or removed history must drop them: its successor may
+        change days the rows already pooled.
         """
         self._predictor.invalidate(machine_id)
         override = self._overrides.get(machine_id)
         if override is not None:
             override.invalidate(machine_id)
-        self._fleet.invalidate(machine_id)
 
     @property
     def overridden_machines(self) -> list[str]:
@@ -356,8 +365,8 @@ class AvailabilityService:
     ) -> FleetScan:
         """Full fleet snapshot: TR, failure split and TR-profiles per machine.
 
-        One stacked Eq.-3 solve (incrementally cached) instead of N
-        scalar recursions; see :class:`repro.fleet.FleetPredictor`.
+        One stacked Eq.-3 solve over the machines' cached kernel rows
+        instead of N scalar recursions; see :class:`repro.fleet.FleetPredictor`.
         """
         return self._fleet.scan(window, dtype, machines=machines)
 
@@ -418,6 +427,6 @@ class AvailabilityService:
         """
         history = self._history(machine_id)
         clock, dtype = resolve_window(start, dtype)
-        kernel, init = self.predictor_for(machine_id).estimate(history, clock, dtype)
+        kernel, init, _ = self.predictor_for(machine_id).row(history, clock, dtype)
         profile = temporal_reliability_profile(kernel, init)
         return max_reliable_horizon(profile, kernel.step, tr_threshold)

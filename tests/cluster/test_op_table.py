@@ -69,8 +69,12 @@ CASES = [
     pytest.param("predict_batch", WINDOW, None, id="predict_batch"),
     pytest.param("predict_batch", {"machines": ["m00", "ghost"], **WINDOW},
                  "ProtocolError", id="predict_batch-unregistered"),
+    pytest.param("predict_batch", {"machines": ["m01", "m01", "m02"], **WINDOW}, None,
+                 id="predict_batch-repeated-id"),
     pytest.param("fleet_scan", {"horizons_hours": [1.0, 2.0], **WINDOW}, None,
                  id="fleet_scan"),
+    pytest.param("fleet_scan", {"machines": ["m01", "m01", "m02"], **WINDOW}, None,
+                 id="fleet_scan-repeated-id"),
     pytest.param("register", _trace_params(lab_trace(6, "fresh")), None,
                  id="register"),
     pytest.param("extend", _trace_params(continuation(lab_trace(4, "m04"))), None,

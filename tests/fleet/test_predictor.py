@@ -10,6 +10,9 @@ from repro.core.windows import (
     ClockWindow,
     DayType,
 )
+from repro.fleet.predictor import MAX_WINDOWS
+from repro.obs.instruments import instrument
+from repro.obs.metrics import scoped_registry
 from repro.service import AvailabilityService
 from repro.traces.trace import MachineTrace
 
@@ -101,6 +104,14 @@ class TestFleetCache:
         assert subset.machine_ids == ("safe",)
         assert service.fleet_scan(WINDOW, DayType.WEEKDAY) is full
 
+    def test_scan_reuses_the_rows_predict_built(self, service):
+        with scoped_registry():
+            for mid in service.machine_ids:
+                service.predict(mid, WINDOW, DayType.WEEKDAY)
+            service.fleet_scan(WINDOW, DayType.WEEKDAY)
+            assert instrument("fleet_kernels_rebuilt_total").value == 0
+            assert instrument("fleet_kernels_reused_total").value == 3
+
     def test_extend_rebuilds_only_the_grown_machine(self, service):
         first = service.fleet_scan(WINDOW, DayType.WEEKDAY)
         service.extend_history(idle_trace("safe", n_days=15))
@@ -134,6 +145,6 @@ class TestFleetCache:
 
     def test_window_cache_is_lru_bounded(self, service):
         fleet = service._fleet
-        for h in range(1, fleet.max_windows + 3):
+        for h in range(1, MAX_WINDOWS + 3):
             service.fleet_scan(ClockWindow.from_hours(8, h), DayType.WEEKDAY)
-        assert len(fleet) == fleet.max_windows
+        assert len(fleet) == MAX_WINDOWS

@@ -7,6 +7,7 @@ cache statistics consistent (each (window, day) is classified once,
 everything else is a hit).
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,6 +26,14 @@ def busy_trace(mid, seed, n_days=14, period=120.0):
     rng = np.random.default_rng(seed)
     load = np.clip(rng.beta(2, 6, n_days * n_per_day), 0.0, 1.0)
     return MachineTrace(mid, 0.0, period, load, np.full(load.shape, 400.0))
+
+
+def chunk(trace, i, j):
+    """Samples ``i`` up to ``j`` of a trace, on its grid."""
+    return MachineTrace(
+        trace.machine_id, trace.start_time + i * trace.sample_period,
+        trace.sample_period, trace.load[i:j], trace.free_mem_mb[i:j], trace.up[i:j],
+    )
 
 
 def build_service():
@@ -127,3 +136,57 @@ class TestConcurrentPredict:
             stop.set()
             t.join(timeout=10)
         assert not errors
+
+
+class TestConcurrentScans:
+    def test_scans_and_predicts_racing_appends_leave_no_stale_answer(self):
+        """Rows and scan memos built while histories grow never outlive the growth."""
+        full = {f"m{i}": busy_trace(f"m{i}", seed=200 + i, n_days=20) for i in range(3)}
+        per_day = int(SECONDS_PER_DAY / 120.0)
+        svc = AvailabilityService(estimator_config=EstimatorConfig(step_multiple=5))
+        for mid, trace in full.items():
+            svc.register(chunk(trace, 0, 12 * per_day))
+        windows = [(w, DayType.WEEKDAY) for w in WINDOWS]
+        stop = threading.Event()
+        errors = []
+
+        def read(offset):
+            i = offset
+            while not stop.is_set():
+                try:
+                    w, dt = windows[i % len(windows)]
+                    svc.fleet_scan(w, dt)
+                    svc.predict(f"m{i % 3}", w, dt)
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+                i += 1
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+        try:
+            for t in readers:
+                t.start()
+            # One writer, as the dispatcher serializes writes: grow every
+            # machine by a third of a day at a time, completing days.
+            for n in range(12 * per_day, 20 * per_day, per_day // 3):
+                for mid, trace in full.items():
+                    svc.append_samples(chunk(trace, n, n + per_day // 3))
+        finally:
+            stop.set()
+            for t in readers:
+                t.join(timeout=30)
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in readers)
+        assert not errors
+        fresh = AvailabilityService(estimator_config=EstimatorConfig(step_multiple=5))
+        for mid, trace in full.items():
+            fresh.register(chunk(trace, 0, 20 * per_day))
+        for w, dt in windows:
+            assert svc.fleet_scan(w, dt).trs() == pytest.approx(
+                fresh.fleet_scan(w, dt).trs(), abs=1e-9
+            )
+            for mid in full:
+                assert svc.predict(mid, w, dt) == pytest.approx(
+                    fresh.predict(mid, w, dt), abs=1e-12
+                )
